@@ -174,22 +174,6 @@ std::string Context::to_json() const {
 
 // --- helpers -----------------------------------------------------------------
 
-double quantile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double h = (static_cast<double>(values.size()) - 1.0) * p;
-  const std::size_t lo = static_cast<std::size_t>(std::floor(h));
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] + (h - static_cast<double>(lo)) * (values[hi] - values[lo]);
-}
-
-double mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
-
 namespace {
 
 double usage_seconds(const rusage& u) {
@@ -300,6 +284,25 @@ std::vector<double> RepeatedTimes::per_op(double q) const {
   std::vector<double> out;
   for (const std::vector<double>& op : times_) out.push_back(quantile(op, q));
   return out;
+}
+
+double tracing_overhead_ratio(
+    int passes, const std::function<std::vector<double>(Tracer&)>& pass) {
+  Tracer warm_up(false);
+  pass(warm_up);
+  RepeatedTimes off;
+  RepeatedTimes on;
+  for (int i = 0; i < passes; ++i) {
+    Tracer disabled(false);
+    off.add(pass(disabled));
+    Tracer enabled(true);
+    on.add(pass(enabled));
+  }
+  double off_ms = 0.0;
+  double on_ms = 0.0;
+  for (const double ms : off.per_op(0.9)) off_ms += ms;
+  for (const double ms : on.per_op(0.9)) on_ms += ms;
+  return on_ms / off_ms;
 }
 
 }  // namespace perfbench

@@ -2,8 +2,9 @@
 //
 // Shared plumbing of the coopcr benchmark: run options, the in-memory span
 // tracer, metric/result emission, run-context probes and small statistics
-// helpers. The workloads (sweep_fig1.cpp, advisor_mix.cpp) and the
-// per-layer instruments (layers.hpp) build on it.
+// helpers. The workloads (sweep_fig1.cpp, advisor_mix.cpp,
+// adaptive_dist.cpp) and the per-layer instruments (layers.hpp) build on
+// it.
 //
 // Everything here measures the library from outside: spans are recorded
 // around calls into coopcr's public functions, never inside them.
@@ -12,9 +13,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/stats.hpp"
 
 namespace perfbench {
 
@@ -143,15 +147,22 @@ struct Outcome {
 /// Workload entry points.
 Outcome run_sweep_fig1(const Options& options);
 Outcome run_advisor_mix(const Options& options);
+Outcome run_adaptive_dist(const Options& options);
 
 // --- measurement helpers ----------------------------------------------------
 
-/// Type-7 (linear interpolation) quantile, p in [0, 1]; 0 for empty input.
-double quantile(std::vector<double> values, double p);
+/// coopcr::SampleSet's type-7 quantile, p in [0, 1], with an empty-input
+/// guard (0) for span lists that can be empty.
+inline double quantile(std::vector<double> values, double p) {
+  return values.empty() ? 0.0
+                        : coopcr::SampleSet(std::move(values)).quantile(p);
+}
 inline double median(const std::vector<double>& values) {
   return quantile(values, 0.5);
 }
-double mean(const std::vector<double>& values);
+inline double mean(std::vector<double> values) {
+  return coopcr::SampleSet(std::move(values)).mean();
+}
 
 /// User + system CPU seconds of this process plus its reaped children.
 double cpu_seconds();
@@ -210,5 +221,14 @@ class RepeatedTimes {
  private:
   std::vector<std::vector<double>> times_;  ///< [operation][pass]
 };
+
+/// Cost of tracing one code path: `pass` runs the same operations with the
+/// tracer it is handed and returns one time per operation. After one
+/// discarded warm-up pass it runs `passes` times with a disabled tracer and
+/// `passes` times with a fresh enabled one, alternating; the result is the
+/// sum of the per-operation 0.9-quantiles with tracing on over the same sum
+/// with tracing off.
+double tracing_overhead_ratio(
+    int passes, const std::function<std::vector<double>(Tracer&)>& pass);
 
 }  // namespace perfbench

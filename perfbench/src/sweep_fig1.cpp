@@ -1,21 +1,23 @@
 // sweep_fig1: the Figure 1 bandwidth sweep as a fixed-count, closed-loop
 // batch on one thread.
 //
-// Each batch is one exp::SweepRunner(1) run of the Figure 1 bandwidth axis
-// (40..160 GB/s) on cielo_apex at 2 y node MTBF, on the shortened 10-day
-// horizon, with all seven paper strategies and kReplicasPerPoint replicas
-// per point; batch b draws its scenario seed from (--seed, b). The next
-// batch starts when the previous one returns. A "query" here is one grid
-// point's answer: the time between consecutive SweepRunner::on_point
-// callbacks, which fire as each point's replicas finish.
+// Each batch is one run of a freshly constructed exp::SweepRunner(1) over
+// the Figure 1 bandwidth axis (40..160 GB/s) on cielo_apex at 2 y node
+// MTBF, on the shortened 10-day horizon, with all seven paper strategies
+// and kReplicasPerPoint replicas per point. Every batch runs the same spec,
+// seeded once from --seed, so every batch does identical work; a fresh
+// runner per batch keeps any state a runner carries from answering a later
+// batch. The next batch starts when the previous one returns. A "query"
+// here is one grid point's answer: the time between consecutive
+// SweepRunner::on_point callbacks, which fire as each point's replicas
+// finish.
 //
-// Output check: every batch's report must be complete and finite, and the
-// first batch (every batch when traced) is rebuilt replica by replica from
-// direct layer calls — waste ratios must match bit for bit and the rebuilt
-// report must emit the same CSV and JSON bytes.
+// Output check: every batch's report must be complete and finite. Batch 0
+// is rebuilt replica by replica from direct layer calls — waste ratios must
+// match bit for bit and the rebuilt report must emit the same CSV and JSON
+// bytes — and every later batch must emit batch 0's bytes.
 
 #include <cmath>
-#include <memory>
 
 #include "bench.hpp"
 #include "layers.hpp"
@@ -28,6 +30,7 @@ namespace {
 
 constexpr int kReplicasPerPoint = 6;
 constexpr int kSetupRepeats = 5;
+constexpr int kOverheadPasses = 7;
 const std::vector<double> kBandwidthsGbps = {40, 60, 80, 100, 120, 140, 160};
 
 exp::ExperimentSpec fig1_spec(std::uint64_t seed, int replicas) {
@@ -120,19 +123,21 @@ Outcome run_sweep_fig1(const Options& opt) {
   const int tasks_per_batch =
       kReplicasPerPoint * static_cast<int>(kBandwidthsGbps.size());
 
-  // Set-up: thread pool plus a one-replica warm-up sweep of the grid.
+  // Set-up: a runner plus a one-replica warm-up sweep of the grid. It is
+  // sampled kSetupRepeats times before the measured batches and once after
+  // each, so its median spans the whole run rather than one burst of host
+  // contention.
   EndToEnd e2e;
-  std::unique_ptr<exp::SweepRunner> runner;
-  for (int i = 0; i < kSetupRepeats; ++i) {
-    runner.reset();
+  const auto set_up = [&] {
     const auto t0 = Clock::now();
-    runner = std::make_unique<exp::SweepRunner>(1);
-    runner->run(fig1_spec(derive_seed(opt.seed, 1000 + i), 1));
+    exp::SweepRunner(1).run(
+        fig1_spec(derive_seed(opt.seed, 1000 + e2e.setup_s.size()), 1));
     e2e.setup_s.push_back(seconds_between(t0, Clock::now()));
-  }
+  };
+  for (int i = 0; i < kSetupRepeats; ++i) set_up();
 
-  // Every batch runs the same spec; batch 0 is checked against direct layer
-  // calls, later batches against batch 0's bytes.
+  // Every batch runs the same spec on a fresh runner; batch 0 is checked
+  // against direct layer calls, later batches against batch 0's bytes.
   const exp::ExperimentSpec spec =
       fig1_spec(derive_seed(opt.seed, 0), kReplicasPerPoint);
   Tracer tracer(opt.trace);
@@ -141,23 +146,20 @@ Outcome run_sweep_fig1(const Options& opt) {
   Emitted first_bytes;
   RepeatedTimes point_times;
   double timed_s = 0.0;
-  double verify_s = 0.0;
-  double batch0_s = 0.0;
   const double cpu0 = cpu_seconds();
   const auto loop0 = Clock::now();
   for (std::uint64_t b = 0;; ++b) {
+    exp::SweepRunner runner(1);
     std::vector<double> point_ms;
     auto last = Clock::now();
-    runner->on_point([&](const exp::GridPoint&, const MonteCarloReport&) {
+    runner.on_point([&](const exp::GridPoint&, const MonteCarloReport&) {
       const auto now = Clock::now();
       point_ms.push_back(ms_between(last, now));
       last = now;
     });
     const auto t0 = last;
-    const exp::ExperimentReport report = runner->run(spec);
-    const double batch_s = seconds_between(t0, Clock::now());
-    runner->on_point(nullptr);
-    timed_s += batch_s;
+    const exp::ExperimentReport report = runner.run(spec);
+    timed_s += seconds_between(t0, Clock::now());
     point_times.add(point_ms);
 
     out.attempted += static_cast<std::uint64_t>(tasks_per_batch);
@@ -165,18 +167,16 @@ Outcome run_sweep_fig1(const Options& opt) {
         report, kBandwidthsGbps.size(), strategies, kReplicasPerPoint);
     out.failed += incomplete;
     if (b == 0) {
-      batch0_s = batch_s;
       first_bytes = emit_report(report, tracer);
       if (incomplete == 0) {
-        const auto v0 = Clock::now();
         out.failed += verify_batch(spec, report, first_bytes, tracer, work,
                                    phases, opt.inject_mismatch);
-        verify_s = seconds_between(v0, Clock::now());
       }
     } else if (incomplete == 0 &&
                !(emit_report(report, tracer) == first_bytes)) {
       out.failed += static_cast<std::uint64_t>(tasks_per_batch);
     }
+    set_up();
     if (timed_s >= opt.seconds) break;
   }
   const double cpu_per_wall =
@@ -212,7 +212,22 @@ Outcome run_sweep_fig1(const Options& opt) {
   dist_probe(derive_seed(opt.seed, 998), opt.work_dir, tracer, out);
   serve_probe(derive_seed(opt.seed, 999), tracer, out);
 
-  m.set("trace.overhead_pct", 100.0 * (verify_s / batch0_s - 1.0), "%");
+  // Tracing cost: the same direct rebuild of every grid point, untraced
+  // and traced.
+  const std::vector<exp::GridPoint> points = spec.expand();
+  const auto rebuild_pass = [&](Tracer& t) {
+    ReplicaWork scratch;
+    std::vector<double> point_ms;
+    for (const exp::GridPoint& point : points) {
+      const auto t0 = Clock::now();
+      rebuild_point(point, spec.strategy_set(), spec.campaign_options(), 0, t,
+                    scratch, nullptr);
+      point_ms.push_back(ms_between(t0, Clock::now()));
+    }
+    return point_ms;
+  };
+  m.set("trace.overhead_ratio",
+        tracing_overhead_ratio(kOverheadPasses, rebuild_pass), "ratio");
   m.set("trace.spans", static_cast<double>(tracer.size()), "count");
   out.notes = phase_lines(phases);
   for (const std::string& line : self_time_lines(tracer)) {
