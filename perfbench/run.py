@@ -24,7 +24,7 @@ BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
 BUILD_DIR = os.path.join(ROOT, ".bench_build", "perfbench")
 BINARY = os.path.join(BUILD_DIR, "perfbench")
-WORKLOADS = ("sweep_fig1", "advisor_mix", "adaptive_dist")
+WORKLOADS = ("sweep_fig1", "advisor_mix")
 RUN_TIMEOUT_S = 170
 
 

@@ -2,9 +2,8 @@
 //
 // Shared plumbing of the coopcr benchmark: run options, the in-memory span
 // tracer, metric/result emission, run-context probes and small statistics
-// helpers. The workloads (sweep_fig1.cpp, advisor_mix.cpp,
-// adaptive_dist.cpp) and the per-layer instruments (layers.hpp) build on
-// it.
+// helpers. The workloads (sweep_fig1.cpp, advisor_mix.cpp) and the
+// per-layer instruments (layers.hpp) build on it.
 //
 // Everything here measures the library from outside: spans are recorded
 // around calls into coopcr's public functions, never inside them.
@@ -147,7 +146,6 @@ struct Outcome {
 /// Workload entry points.
 Outcome run_sweep_fig1(const Options& options);
 Outcome run_advisor_mix(const Options& options);
-Outcome run_adaptive_dist(const Options& options);
 
 // --- measurement helpers ----------------------------------------------------
 

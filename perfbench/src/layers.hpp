@@ -9,11 +9,10 @@
 //    simulate_baseline / simulate calls, installed slot by slot into a
 //    MonteCarloCampaign and reduced (core/, workload/, platform/, sim/).
 //  - emit_report: ExperimentReport::write_csv + write_json (exp/).
-//  - dist_probe (adaptive_dist.cpp): adaptive contrast campaigns through
-//    DistSweepRunner, with probe_wire / probe_journal running
-//    dist::encode_result / decode_result and JournalWriter::append_record
-//    over the slots replay_journal reads back (dist/,
-//    core/variance_reduction).
+//  - dist_probe: adaptive contrast campaigns through DistSweepRunner, with
+//    probe_wire / probe_journal running dist::encode_result /
+//    decode_result and JournalWriter::append_record over the slots
+//    replay_journal reads back (dist/, core/variance_reduction).
 //  - run_query_stream / run_traced_query_stream: the advisor, whole
 //    (serve::Advisor::answer_json) or decomposed into AdvisorQuery::from_json,
 //    QueryCache, QueryEngine::answer and AdvisorAnswer::to_json (serve/).
@@ -175,8 +174,7 @@ void set_serve_metrics(const Tracer& tracer, std::size_t from,
                        const StreamResult& result, double ingest_ms,
                        Metrics& metrics);
 
-/// Dist- and variance-reduction-layer probe of the traced runs of
-/// sweep_fig1 and advisor_mix (adaptive_dist.cpp): a few of adaptive_dist's
+/// Dist- and variance-reduction-layer probe run by every traced run:
 /// sequential-stopping paired-contrast campaigns through
 /// dist::DistSweepRunner (fork workers, journal on), each checked
 /// byte-for-byte against the in-process runner, their journals replayed

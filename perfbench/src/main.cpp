@@ -1,6 +1,6 @@
 // perfbench — the coopcr benchmark driver binary.
 //
-//   perfbench --workload sweep_fig1|advisor_mix|adaptive_dist --seed N
+//   perfbench --workload sweep_fig1|advisor_mix --seed N
 //             --seconds S --trace 0|1 [--work-dir DIR] [--inject-mismatch]
 //
 // Runs one workload for S seconds of measured work and prints, in order:
@@ -78,8 +78,6 @@ int main(int argc, char** argv) {
       out = perfbench::run_sweep_fig1(opt);
     } else if (opt.workload == "advisor_mix") {
       out = perfbench::run_advisor_mix(opt);
-    } else if (opt.workload == "adaptive_dist") {
-      out = perfbench::run_adaptive_dist(opt);
     } else {
       usage(("unknown workload " + opt.workload).c_str());
     }
