@@ -26,12 +26,13 @@
 // the mode a future multi-host launcher would use.
 //
 // Env knobs (flags win): COOPCR_SHARDS, COOPCR_JOURNAL, COOPCR_REPLICAS,
-// COOPCR_CSV_DIR, COOPCR_RESPAWN, COOPCR_HEARTBEAT_MS, COOPCR_TRANSPORT,
-// COOPCR_RESIZE_AT, COOPCR_FAULT_PLAN.
+// COOPCR_CSV_DIR, COOPCR_RESPAWN, COOPCR_HEARTBEAT_MS, COOPCR_FAULT_PLAN.
 //
-// A running dist campaign also resizes elastically on signals: SIGUSR1
-// grows the fleet by one worker, SIGUSR2 shrinks it by one (busy workers
-// drain their in-flight unit first).
+// A running dist campaign resizes elastically on signals: SIGUSR1 grows the
+// fleet by one worker, SIGUSR2 shrinks it by one (busy workers drain their
+// in-flight unit first). Scripted resizes, worker kills and coordinator
+// interrupts all go through --fault-plan (resize=S@N, kill=W@N, drop=W@F,
+// interrupt=N).
 
 #include <cstdlib>
 #include <filesystem>
@@ -78,19 +79,11 @@ void usage(std::ostream& os) {
         "(COOPCR_RESPAWN; default 0)\n"
         "  --heartbeat-ms N   kill workers silent past N ms with a unit in "
         "flight (COOPCR_HEARTBEAT_MS; 0 = off)\n"
-        "  --transport NAME   worker channel: pipe | socketpair "
-        "(COOPCR_TRANSPORT; default pipe)\n"
-        "  --resize-at N:S    resize the fleet to S workers after N units; "
-        "repeatable (COOPCR_RESIZE_AT, comma-separated)\n"
-        "  --fault-plan SPEC  scripted fault injection, e.g. "
-        "kill=0@3,interrupt=6 (COOPCR_FAULT_PLAN; see "
+        "  --fault-plan SPEC  scripted faults and resizes, e.g. "
+        "kill=0@3,resize=4@5,interrupt=6 (COOPCR_FAULT_PLAN; see "
         "dist/fault_injection.hpp)\n"
-        "  --max-units N      abort after N fresh units (kill-resume "
-        "testing)\n"
-        "  --kill-worker-after N  worker 0 SIGKILLs itself after N units\n"
         "  --list-specs       list registry specs and exit\n"
         "  --worker           internal: serve units on fds 3/4\n"
-        "  --kill-after N     internal: worker self-kill hook\n"
         "  --stall N:MS       internal: worker stalls MS ms before result N\n";
 }
 
@@ -140,19 +133,6 @@ dist::WorkerDirectives::Stall stall_arg(const std::string& flag,
   return stall;
 }
 
-/// Split a comma-separated env value ("4:3,8:1") into entries.
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    std::size_t end = text.find(',', begin);
-    if (end == std::string::npos) end = text.size();
-    if (end > begin) out.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -165,8 +145,6 @@ int main(int argc, char** argv) {
     bool resume = false;
     bool exec_workers = false;
     bool worker_mode = false;
-    int max_units = 0;
-    int kill_after = 0;
     bool antithetic = env::flag_knob("COOPCR_ANTITHETIC");
     bool control_variate = env::flag_knob("COOPCR_CONTROL_VARIATE");
     double target_ci = env::double_knob("COOPCR_TARGET_CI", 0.0, 0.0);
@@ -177,9 +155,6 @@ int main(int argc, char** argv) {
         env::string_knob("COOPCR_STRATA_FEATURE").value_or("");
     int max_respawns = env::int_knob("COOPCR_RESPAWN", 0, 0);
     int heartbeat_ms = env::int_knob("COOPCR_HEARTBEAT_MS", 0, 0);
-    std::string transport = env::string_knob("COOPCR_TRANSPORT").value_or("");
-    std::vector<std::string> resize_at =
-        split_commas(env::string_knob("COOPCR_RESIZE_AT").value_or(""));
     std::string fault_plan_text =
         env::string_knob("COOPCR_FAULT_PLAN").value_or("");
     std::string fault_plan_knob = "COOPCR_FAULT_PLAN";
@@ -232,25 +207,11 @@ int main(int argc, char** argv) {
         COOPCR_CHECK(next, "--strata-feature needs a value");
         strata_feature = next;
         ++i;
-      } else if (arg == "--max-units") {
-        max_units = int_arg(arg, next);
-        ++i;
-      } else if (arg == "--kill-worker-after") {
-        kill_after = int_arg(arg, next);
-        ++i;
       } else if (arg == "--respawn") {
         max_respawns = int_arg(arg, next);
         ++i;
       } else if (arg == "--heartbeat-ms") {
         heartbeat_ms = int_arg(arg, next);
-        ++i;
-      } else if (arg == "--transport") {
-        COOPCR_CHECK(next, "--transport needs a value");
-        transport = next;
-        ++i;
-      } else if (arg == "--resize-at") {
-        COOPCR_CHECK(next, "--resize-at needs a value");
-        resize_at.push_back(next);
         ++i;
       } else if (arg == "--fault-plan") {
         COOPCR_CHECK(next, "--fault-plan needs a value");
@@ -259,9 +220,6 @@ int main(int argc, char** argv) {
         ++i;
       } else if (arg == "--worker") {
         worker_mode = true;
-      } else if (arg == "--kill-after") {
-        kill_after = int_arg(arg, next);
-        ++i;
       } else if (arg == "--stall") {
         stalls.push_back(stall_arg(arg, next));
         ++i;
@@ -300,7 +258,6 @@ int main(int argc, char** argv) {
       // Exec-mode worker: rebuilt the spec above from --spec/--replicas;
       // serve units on the fixed pipe fds until shutdown.
       dist::WorkerDirectives directives;
-      directives.kill_after = kill_after;
       directives.stalls = stalls;
       dist::worker_serve(spec, dist::kWorkerInFd, dist::kWorkerOutFd,
                          directives);
@@ -322,15 +279,12 @@ int main(int argc, char** argv) {
 
     exp::ExecutorOptions options;
     if (shards == 0) {
-      COOPCR_CHECK(!resume && journal.empty() && max_units == 0 &&
-                       kill_after == 0,
-                   "--journal/--resume/--max-units/--kill-worker-after "
-                   "require --shards >= 1");
+      COOPCR_CHECK(!resume && journal.empty(),
+                   "--journal/--resume require --shards >= 1");
       COOPCR_CHECK(max_respawns == 0 && heartbeat_ms == 0 &&
-                       transport.empty() && resize_at.empty() &&
                        fault_plan_text.empty(),
-                   "--respawn/--heartbeat-ms/--transport/--resize-at/"
-                   "--fault-plan require --shards >= 1");
+                   "--respawn/--heartbeat-ms/--fault-plan require "
+                   "--shards >= 1");
       options.backend = exp::ExecutorBackend::kInProcess;
       options.threads = env::int_knob("COOPCR_THREADS", 0, 0);
     } else {
@@ -340,12 +294,8 @@ int main(int argc, char** argv) {
       options.shards = shards;
       options.journal = journal;
       options.resume = resume;
-      options.max_units = max_units;
-      options.kill_worker_after = kill_after;
       options.max_respawns = max_respawns;
       options.heartbeat_ms = heartbeat_ms;
-      options.transport = transport;
-      options.resize_at = resize_at;
       if (!fault_plan_text.empty()) {
         options.fault_plan = std::make_shared<dist::FaultPlan>(
             dist::FaultPlan::parse(fault_plan_text, fault_plan_knob));

@@ -51,8 +51,8 @@
 
 // Distributed execution: multi-process shard workers, the durable campaign
 // journal, the kill-resume coordinator (byte-identical reports for any
-// shard count, transport, or crash/respawn/resize history) and the
-// scripted fault-injection harness that proves it.
+// shard count or crash/respawn/resize history) and the scripted
+// fault-injection harness (FaultPlan) that proves it.
 #include "dist/dist_runner.hpp"
 #include "dist/fault_injection.hpp"
 #include "dist/journal.hpp"

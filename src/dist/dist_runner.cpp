@@ -64,9 +64,6 @@ void reap(Worker& w) {
     w.pid = -1;
   }
   w.alive = false;
-  // A socketpair channel aliases both directions onto one descriptor —
-  // close it exactly once.
-  if (w.from_fd == w.to_fd) w.from_fd = -1;
   close_fd(w.to_fd);
   close_fd(w.from_fd);
 }
@@ -150,11 +147,6 @@ DistSweepRunner::DistSweepRunner(DistOptions options)
   COOPCR_CHECK(options_.heartbeat_ms >= 0,
                "--heartbeat-ms/COOPCR_HEARTBEAT_MS must be >= 0, got " +
                    std::to_string(options_.heartbeat_ms));
-  for (const ResizePoint& point : options_.resize_schedule) {
-    COOPCR_CHECK(point.shards >= 1 && point.after_units >= 0,
-                 "--resize-at/COOPCR_RESIZE_AT entries need shards >= 1 and "
-                 "a non-negative unit trigger");
-  }
 }
 
 DistSweepRunner& DistSweepRunner::on_point(PointCallback callback) {
@@ -280,14 +272,6 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   int shrink_signals_seen = 0;
 
   int respawns_left = options_.max_respawns;
-  bool kill_hook_armed = options_.kill_worker_after > 0;
-
-  std::vector<ResizePoint> resizes = options_.resize_schedule;
-  std::stable_sort(resizes.begin(), resizes.end(),
-                   [](const ResizePoint& a, const ResizePoint& b) {
-                     return a.after_units < b.after_units;
-                   });
-  std::size_t next_resize = 0;
 
   int target_shards = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(options_.shards), outstanding));
@@ -310,32 +294,21 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   auto spawn_one = [&]() {
     const int index = static_cast<int>(workers.size());
     WorkerDirectives directives;
-    if (kill_hook_armed) {
-      // The legacy kill_worker_after hook arms the first worker ever
-      // spawned, exactly as before the fault plan existed.
-      directives.kill_after = options_.kill_worker_after;
-      kill_hook_armed = false;
-    }
     for (const FaultAction& stall : plan.take_stalls(index)) {
       directives.stalls.push_back(
           WorkerDirectives::Stall{stall.after_units, stall.stall_ms});
     }
     WorkerLaunch launch;
-    launch.transport = options_.transport;
     if (options_.worker_command.empty()) {
       launch.spec = &spec;
       launch.directives = directives;
       if (journal) launch.extra_close.push_back(journal->fd());
       for (const Worker& w : workers) {
         launch.extra_close.push_back(w.to_fd);
-        if (w.from_fd != w.to_fd) launch.extra_close.push_back(w.from_fd);
+        launch.extra_close.push_back(w.from_fd);
       }
     } else {
       launch.command = options_.worker_command;
-      if (directives.kill_after > 0) {
-        launch.command.push_back("--kill-after");
-        launch.command.push_back(std::to_string(directives.kill_after));
-      }
       for (const WorkerDirectives::Stall& stall : directives.stalls) {
         launch.command.push_back("--stall");
         launch.command.push_back(std::to_string(stall.before_result) + ":" +
@@ -434,15 +407,10 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     }
   };
 
-  // Fire every unit-triggered fault and scheduled resize due at the
-  // current fresh-result count. Journal tear/flip and interrupts abort the
-  // run (FleetGuard cleans up); the journal then drives the resume.
+  // Fire every unit-triggered fault (resizes included) due at the current
+  // fresh-result count. Journal tear/flip and interrupts abort the run
+  // (FleetGuard cleans up); the journal then drives the resume.
   auto fire_unit_faults = [&]() {
-    while (next_resize < resizes.size() &&
-           resizes[next_resize].after_units <= fresh_results) {
-      do_resize(resizes[next_resize].shards);
-      ++next_resize;
-    }
     for (const FaultAction& action : plan.take_due(fresh_results)) {
       switch (action.kind) {
         case FaultKind::kKillWorker: {
@@ -513,9 +481,6 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     }
     --outstanding;
     ++fresh_results;
-    COOPCR_CHECK(options_.max_units <= 0 || fresh_results < options_.max_units,
-                 "sweep interrupted after " + std::to_string(fresh_results) +
-                     " units (max_units) — resume from the journal");
     fire_unit_faults();
     if (!w.alive) return;  // a fired fault retired or killed this worker
     if (w.draining) {

@@ -7,7 +7,7 @@
 // instead of scheduling (grid point × replica) tasks on a thread pool it
 // shards them across a fleet of worker *processes* (fork of the current
 // process by default, or fork+exec of a driver command) that pull units
-// over the dist/wire.hpp protocol — pipes or a socketpair, see
+// over the dist/wire.hpp protocol on a pair of pipes each, see
 // dist/transport.hpp. Dynamic pull is built-in work stealing: a fast
 // worker simply asks for more. Completed units are appended to a
 // crash-safe campaign journal (dist/journal.hpp), so a SIGKILLed sweep
@@ -28,10 +28,10 @@
 // with a respawn budget (max_respawns) the coordinator also replaces the
 // casualty to keep the fleet at strength. A worker silent past
 // heartbeat_ms with a unit in flight is presumed hung and killed (then
-// respawned within budget). The fleet grows or shrinks mid-campaign via
-// resize_schedule, a scripted FaultPlan resize, or SIGUSR1/SIGUSR2. The
-// sweep only fails once no workers remain and the respawn budget is
-// spent — and then the journal already holds every completed unit.
+// respawned within budget). The fleet grows or shrinks mid-campaign via a
+// scripted FaultPlan resize or SIGUSR1/SIGUSR2. The sweep only fails once
+// no workers remain and the respawn budget is spent — and then the journal
+// already holds every completed unit.
 
 #pragma once
 
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "dist/fault_injection.hpp"
-#include "dist/transport.hpp"
 #include "exp/executor.hpp"
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
@@ -70,18 +69,9 @@ struct DistOptions {
   /// serialising. When set, the command must start a process that rebuilds
   /// the same spec and calls worker_serve on kWorkerInFd/kWorkerOutFd
   /// (coopcr_sweep --worker does); the coordinator verifies the worker's
-  /// digest before dispatching. Fault directives ride along as
-  /// "--kill-after <n>" / "--stall <n>:<ms>" flags.
+  /// digest before dispatching. FaultPlan stalls ride along as
+  /// "--stall <n>:<ms>" flags.
   std::vector<std::string> worker_command;
-
-  /// Test/CI hook: worker 0 SIGKILLs itself after completing this many
-  /// units without reporting the last one (worker_serve's kill_after).
-  int kill_worker_after = 0;
-
-  /// Test/CI hook: abort the sweep (coopcr::Error) after this many *fresh*
-  /// results have been journaled — a deterministic stand-in for killing
-  /// the coordinator mid-run.
-  int max_units = 0;
 
   /// Respawn budget: how many replacement workers may be spawned over the
   /// whole run to keep the fleet at target strength after deaths
@@ -94,21 +84,14 @@ struct DistOptions {
   /// (respawning within budget). 0 disables the deadline.
   int heartbeat_ms = 0;
 
-  /// How worker channels are built — see dist/transport.hpp. The wire
-  /// bytes and the results are identical across transports.
-  TransportKind transport = TransportKind::kPipe;
-
-  /// Scripted elastic resharding: once entry.after_units fresh results
-  /// have landed, grow or shrink the fleet to entry.shards. Shrinking
-  /// drains busy workers (their in-flight unit completes first); growing
-  /// spawns immediately. SIGUSR1/SIGUSR2 adjust the fleet by ±1 at run
-  /// time on top of this schedule.
-  std::vector<ResizePoint> resize_schedule;
-
-  /// Scripted fault injection (see dist/fault_injection.hpp). The hook
-  /// seam is always compiled in and inert when the plan is null or empty.
-  /// Held by shared_ptr so fired single-shot actions stay fired across a
-  /// resume retry loop — the soak's core trick.
+  /// Scripted faults and fleet resizes (see dist/fault_injection.hpp):
+  /// worker kills, frame drops, stalls, journal damage, coordinator
+  /// interrupts (`interrupt=N` aborts after N fresh results) and elastic
+  /// resizes (`resize=S@N`; shrinking drains busy workers, growing spawns
+  /// immediately, and SIGUSR1/SIGUSR2 adjust the fleet by ±1 on top). The
+  /// hook seam is always compiled in and inert when the plan is null or
+  /// empty. Held by shared_ptr so fired single-shot actions stay fired
+  /// across a resume retry loop — the soak's core trick.
   std::shared_ptr<FaultPlan> fault_plan;
 };
 
@@ -119,12 +102,14 @@ class DistSweepRunner final : public exp::SweepExecutor {
   std::string backend_name() const override { return "dist"; }
 
   /// Called after each grid point's report is reduced, in grid order —
-  /// same contract as exp::SweepRunner::on_point. run_batch stays
-  /// unsupported (supports_run_batch() is false): adaptive rounds need the
-  /// journal-aware extend the coordinator does not implement yet.
+  /// same contract as exp::SweepRunner::on_point.
   DistSweepRunner& on_point(PointCallback callback) override;
 
-  /// Expand `spec` and run the full grid across the worker fleet. Throws
+  /// Expand `spec` and run the full grid across the worker fleet. A spec
+  /// with a target CI width runs its sequential-stopping rounds here, each
+  /// round boundary journaled so a resume re-enters the interrupted round.
+  /// run_batch stays unsupported (supports_run_batch() is false): the
+  /// coordinator runs one spec's grid, not ad-hoc campaign batches. Throws
   /// coopcr::Error on journal/digest mismatches, when every worker died
   /// with units outstanding and no respawn budget remains, or when the
   /// spec requests keep_results (full SimulationResults never cross the

@@ -151,9 +151,11 @@ FaultPlan& FaultPlan::resize(int shards, int after_units) {
 
 FaultPlan FaultPlan::parse(const std::string& text, const std::string& knob) {
   FaultPlan plan;
+  if (text.empty()) return plan;
+  // Every comma separates two actions, so a leading, doubled or trailing
+  // comma yields an empty action and is refused.
   std::size_t begin = 0;
   while (begin <= text.size()) {
-    if (begin == text.size()) break;
     std::size_t end = text.find(',', begin);
     if (end == std::string::npos) end = text.size();
     const std::string action = text.substr(begin, end - begin);
@@ -314,21 +316,6 @@ void flip_journal_byte_at(const std::string& path, std::uint64_t offset) {
   const ssize_t put = ::pwrite(fd, &byte, 1, static_cast<off_t>(offset));
   ::close(fd);
   COOPCR_CHECK(put == 1, "journal byte flip write failed: " + path);
-}
-
-ResizePoint parse_resize_point(const std::string& text,
-                               const std::string& knob) {
-  const std::size_t at = text.find(':');
-  COOPCR_CHECK(at != std::string::npos,
-               knob + ": resize entry must be UNITS:SHARDS, got '" + text +
-                   "'");
-  ResizePoint point;
-  point.after_units =
-      parse_int(text.substr(0, at), knob, "resize unit trigger");
-  point.shards = parse_int(text.substr(at + 1), knob, "resize shard count");
-  COOPCR_CHECK(point.shards >= 1,
-               knob + ": resize shard count must be >= 1, got '" + text + "'");
-  return point;
 }
 
 }  // namespace coopcr::dist

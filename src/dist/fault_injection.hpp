@@ -61,7 +61,8 @@ struct FaultAction {
 ///   kill=W@N        SIGKILL worker W after N fresh results
 ///   stall=W@N:MS    worker W sleeps MS ms before sending its N-th result
 ///   drop=W@F        discard worker W's F-th inbound frame (worker is then
-///                   killed — its stream is no longer trustworthy)
+///                   killed — its stream is no longer trustworthy); frame 1
+///                   is the kHello, so F = K+1 drops the K-th result
 ///   trunc=W@F       truncate worker W's F-th inbound frame mid-frame
 ///   delay=W@F:R     hold worker W's F-th inbound frame for R poll rounds
 ///   tear=N:B        after N fresh results, append B garbage bytes to the
@@ -123,16 +124,5 @@ void append_torn_journal_tail(int fd, int garbage_bytes);
 /// guaranteed corruption regardless of the original value. Throws
 /// coopcr::Error when the file cannot be opened or `offset` is past EOF.
 void flip_journal_byte_at(const std::string& path, std::uint64_t offset);
-
-/// One scheduled fleet-resize point for DistOptions::resize_schedule.
-struct ResizePoint {
-  int after_units = 0;  ///< fresh-result trigger
-  int shards = 0;       ///< new fleet size (>= 1)
-};
-
-/// Parse one "N:S" resize entry (after N fresh results, resize to S
-/// shards); throws coopcr::Error naming `knob` on malformed input.
-ResizePoint parse_resize_point(const std::string& text,
-                               const std::string& knob);
 
 }  // namespace coopcr::dist

@@ -1,18 +1,14 @@
 // coopcr/dist/transport.hpp
 //
-// Worker transport abstraction: how the coordinator's byte stream reaches
-// a worker process.
+// Worker launch: how the coordinator's byte stream reaches a worker
+// process.
 //
 // The wire protocol (dist/wire.hpp) only needs two file descriptors — one
 // the coordinator writes kUnit/kShutdown into, one it reads kHello/kResult
 // from — and exec-mode workers always serve on the fixed
-// kWorkerInFd/kWorkerOutFd descriptors. That indirection is the whole
-// transport seam: kPipe uses two unidirectional pipes (the historical
-// default), kSocketPair a single bidirectional AF_UNIX socketpair — the
-// same shape an ssh/srun launcher's stdio tunnel will have, which is why
-// the soak exercises both. spawn_worker absorbs the fork and fork+exec
-// launch paths so DistSweepRunner never touches pipe(), fork() or dup2()
-// directly.
+// kWorkerInFd/kWorkerOutFd descriptors. Each worker gets two unidirectional
+// pipes. spawn_worker absorbs the fork and fork+exec launch paths so
+// DistSweepRunner never touches pipe(), fork() or dup2() directly.
 
 #pragma once
 
@@ -26,44 +22,30 @@
 
 namespace coopcr::dist {
 
-enum class TransportKind {
-  kPipe,        ///< two unidirectional pipes (default)
-  kSocketPair,  ///< one bidirectional AF_UNIX socketpair
-};
-
-/// Parse a --transport / COOPCR_TRANSPORT value ("pipe" or "socketpair");
-/// throws coopcr::Error naming `knob` on anything else.
-TransportKind transport_from_name(const std::string& name,
-                                  const std::string& knob);
-
-std::string transport_name(TransportKind kind);
-
 /// How to launch one worker. `command` empty forks the current process
 /// (the spec is inherited in memory and `directives` apply directly);
-/// non-empty fork+execs the command with its channel ends landed on
+/// non-empty fork+execs the command with its pipe ends landed on
 /// kWorkerInFd/kWorkerOutFd — the caller encodes directives as command
 /// flags in that case.
 struct WorkerLaunch {
-  TransportKind transport = TransportKind::kPipe;
   const exp::ExperimentSpec* spec = nullptr;  ///< fork mode (required)
   WorkerDirectives directives;                ///< fork mode only
   std::vector<std::string> command;           ///< exec mode when non-empty
   /// Coordinator-side fds a forked child must close (the journal, other
-  /// workers' channel ends) — a child keeping a dead sibling's pipe alive
+  /// workers' pipe ends) — a child keeping a dead sibling's pipe alive
   /// would mask its EOF.
   std::vector<int> extra_close;
 };
 
-/// Coordinator-side endpoint of a launched worker. Under kSocketPair both
-/// fds are the *same* descriptor — close it once.
+/// Coordinator-side endpoint of a launched worker.
 struct WorkerEndpoint {
   pid_t pid = -1;
   int to_fd = -1;    ///< coordinator → worker
   int from_fd = -1;  ///< worker → coordinator
 };
 
-/// Launch one worker process over the requested transport. Throws
-/// coopcr::Error when the channel, fork or exec setup fails.
+/// Launch one worker process. Throws coopcr::Error when the pipe, fork or
+/// exec setup fails.
 WorkerEndpoint spawn_worker(const WorkerLaunch& launch);
 
 }  // namespace coopcr::dist

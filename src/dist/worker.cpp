@@ -3,7 +3,6 @@
 #include <time.h>
 
 #include <cerrno>
-#include <csignal>
 #include <memory>
 #include <vector>
 
@@ -69,12 +68,6 @@ void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
     }
     campaign.run_replica_task(static_cast<int>(unit.replica));
     ++units_done;
-    if (directives.kill_after > 0 && units_done >= directives.kill_after) {
-      // Die *before* the result is sent: the unit is complete in this
-      // process but never becomes durable, exactly the torn state a real
-      // mid-unit SIGKILL leaves behind.
-      ::raise(SIGKILL);
-    }
     for (const WorkerDirectives::Stall& stall : directives.stalls) {
       // Stall *before* sending: the coordinator sees a silent worker with a
       // unit in flight, which is what the heartbeat deadline detects. The
@@ -89,13 +82,6 @@ void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
     result.slot = campaign.slot(static_cast<int>(unit.replica));
     write_frame(out_fd, MsgType::kResult, encode_result(result));
   }
-}
-
-void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
-                  int kill_after) {
-  WorkerDirectives directives;
-  directives.kill_after = kill_after;
-  worker_serve(spec, in_fd, out_fd, directives);
 }
 
 }  // namespace coopcr::dist

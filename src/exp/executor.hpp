@@ -4,7 +4,8 @@
 //
 // SweepExecutor is the one contract every sweep engine implements:
 // `run(spec) -> ExperimentReport`, plus an optional `run_batch` capability
-// for adaptive drivers (fig3's lockstep bisection, sequential stopping).
+// for adaptive drivers whose next grid is data-dependent (fig3's lockstep
+// bisection). Sequential stopping runs inside `run` on both backends.
 // Two backends ship with the repo — exp::SweepRunner (shared thread pool,
 // in-process) and dist::DistSweepRunner (multi-process shard workers with a
 // durable journal) — and both produce byte-identical reports for the same
@@ -98,21 +99,12 @@ struct ExecutorOptions {
   bool resume = false;
   /// Dist: fork+exec worker launch command; empty forks the coordinator.
   std::vector<std::string> worker_command;
-  /// Dist test/CI fault hooks (dist::DistOptions).
-  int kill_worker_after = 0;
-  int max_units = 0;
-
   /// Dist: respawn budget for replacing dead workers mid-campaign.
   int max_respawns = 0;
   /// Dist: silent-worker deadline in milliseconds; 0 disables.
   int heartbeat_ms = 0;
-  /// Dist: worker channel transport, "pipe" (default) or "socketpair";
-  /// parsed by make_sweep_executor, which names the knob on bad values.
-  std::string transport;
-  /// Dist: elastic resharding schedule, "UNITS:SHARDS" entries (resize the
-  /// fleet to SHARDS once UNITS fresh results landed).
-  std::vector<std::string> resize_at;
-  /// Dist: scripted fault plan (dist::FaultPlan). Held as shared_ptr so
+  /// Dist: scripted fault plan (dist::FaultPlan) — worker kills, frame
+  /// faults, interrupts and fleet resizes. Held as shared_ptr so
   /// single-shot fault actions stay fired across a resume retry loop; the
   /// CLI builds it from --fault-plan / COOPCR_FAULT_PLAN.
   std::shared_ptr<dist::FaultPlan> fault_plan;

@@ -83,10 +83,6 @@ TEST_F(CliKnobsTest, DistOnlyKnobsAreRefusedAtShardsZero) {
                  "--shards");
   expect_refusal("--spec demo --replicas 2 --shards 0 --respawn 2",
                  "--shards");
-  expect_refusal("--spec demo --replicas 2 --shards 0 --resize-at 3:1",
-                 "--shards");
-  expect_refusal("--spec demo --replicas 2 --shards 0 --transport socketpair",
-                 "--shards");
   expect_refusal("--spec demo --replicas 2 --shards 0 --heartbeat-ms 100",
                  "--shards");
 }
@@ -96,16 +92,22 @@ TEST_F(CliKnobsTest, BadKnobValuesNameTheirOwnKnob) {
                  "--fault-plan");
   expect_refusal("--spec demo --replicas 2 --shards 2 --fault-plan kill=0",
                  "--fault-plan");
-  expect_refusal("--spec demo --replicas 2 --shards 2 --transport bogus",
-                 "--transport");
-  expect_refusal("--spec demo --replicas 2 --shards 2 --resize-at nonsense",
-                 "--resize-at");
+}
+
+TEST_F(CliKnobsTest, RemovedFlagsAreUnknownArguments) {
+  // Flags whose jobs --fault-plan now does (drop=, interrupt=, resize=)
+  // must fail loudly, so an old script never runs something else.
+  for (const char* flag : {"--kill-worker-after 1", "--max-units 3",
+                           "--transport pipe", "--resize-at 2:3"}) {
+    expect_refusal(std::string("--spec demo --replicas 2 --shards 2 ") + flag,
+                   "unknown argument");
+  }
 }
 
 TEST_F(CliKnobsTest, FaultedDistRunMatchesInProcessArtifactBytes) {
-  // The positive interaction: respawn, socketpair transport, an elastic
-  // resize and a scripted kill all through real argv — and the artifacts
-  // still match the in-process run byte for byte.
+  // The positive interaction: respawn, an elastic resize and a scripted
+  // kill all through real argv — and the artifacts still match the
+  // in-process run byte for byte.
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() /
                        ("coopcr_cli_knobs_" + std::to_string(::getpid()));
@@ -116,9 +118,8 @@ TEST_F(CliKnobsTest, FaultedDistRunMatchesInProcessArtifactBytes) {
       run_cli("--spec demo --replicas 2 --shards 0 --out " + ref);
   ASSERT_EQ(reference.exit_code, 0) << reference.output;
   const CliResult faulted = run_cli(
-      "--spec demo --replicas 2 --shards 2 --transport socketpair "
-      "--respawn 3 --heartbeat-ms 5000 --resize-at 2:3 "
-      "--fault-plan kill=0@1,delay=1@2:2 --out " +
+      "--spec demo --replicas 2 --shards 2 --respawn 3 --heartbeat-ms 5000 "
+      "--fault-plan resize=3@2,kill=0@1,delay=1@2:2 --out " +
       dist);
   ASSERT_EQ(faulted.exit_code, 0) << faulted.output;
   for (const char* name : {"sweep_demo.csv", "sweep_demo.json"}) {
@@ -139,10 +140,6 @@ TEST_F(CliKnobsTest, EnvKnobFailuresNameTheEnvVariable) {
   // variable, not the flag — the operator set the env, not argv.
   expect_refusal("--spec demo --replicas 2 --shards 2", "COOPCR_FAULT_PLAN",
                  "COOPCR_FAULT_PLAN=launch=0@1");
-  expect_refusal("--spec demo --replicas 2 --shards 2",
-                 "COOPCR_TRANSPORT", "COOPCR_TRANSPORT=bogus");
-  expect_refusal("--spec demo --replicas 2 --shards 2",
-                 "COOPCR_RESIZE_AT", "COOPCR_RESIZE_AT=nonsense");
   expect_refusal("--spec demo --replicas 2 --shards 2",
                  "COOPCR_HEARTBEAT_MS", "COOPCR_HEARTBEAT_MS=1o0");
   expect_refusal("--spec demo --replicas 2 --shards 2", "COOPCR_RESPAWN",

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,14 +105,17 @@ TEST_F(DistRunnerTest, PointCallbackFiresInGridOrder) {
 TEST_F(DistRunnerTest, SurvivesWorkerKilledMidUnitWithIdenticalReports) {
   const exp::ExperimentSpec spec = grid_spec();
   const exp::ExperimentReport reference = reference_report(spec);
-  // Worker 0 completes 2 units, then SIGKILLs itself *before* reporting the
-  // second — the re-dispatched unit and the dead worker must leave no trace
-  // in the output.
+  // Worker 0 completes 2 units, but its second result (frame 3 — frame 1 is
+  // the hello) is dropped and the worker killed: the unit is done in a dead
+  // process yet never reported. The re-dispatched unit and the dead worker
+  // must leave no trace in the output.
   dist::DistOptions options;
   options.shards = 3;
-  options.kill_worker_after = 2;
+  options.fault_plan = std::make_shared<dist::FaultPlan>();
+  options.fault_plan->drop_frame(0, 3);
   dist::DistSweepRunner runner(options);
   const exp::ExperimentReport survived = runner.run(spec);
+  EXPECT_TRUE(options.fault_plan->actions()[0].fired);
   EXPECT_EQ(csv_bytes(reference), csv_bytes(survived));
   EXPECT_EQ(json_bytes(reference), json_bytes(survived));
 }
@@ -125,7 +129,8 @@ TEST_F(DistRunnerTest, InterruptedJournaledSweepResumesByteIdentically) {
     dist::DistOptions options;
     options.shards = 2;
     options.journal = journal_;
-    options.max_units = 7;
+    options.fault_plan = std::make_shared<dist::FaultPlan>();
+    options.fault_plan->interrupt(7);
     dist::DistSweepRunner runner(options);
     EXPECT_THROW(runner.run(spec), Error);
   }
@@ -153,8 +158,8 @@ TEST_F(DistRunnerTest, ResumeAfterWorkerKillStillMatches) {
     dist::DistOptions options;
     options.shards = 2;
     options.journal = journal_;
-    options.kill_worker_after = 1;
-    options.max_units = 9;
+    options.fault_plan = std::make_shared<dist::FaultPlan>();
+    options.fault_plan->drop_frame(0, 2).interrupt(9);
     dist::DistSweepRunner runner(options);
     EXPECT_THROW(runner.run(spec), Error);
   }
@@ -194,7 +199,8 @@ TEST_F(DistRunnerTest, RefusesJournalFromADifferentGrid) {
     dist::DistOptions options;
     options.shards = 2;
     options.journal = journal_;
-    options.max_units = 3;
+    options.fault_plan = std::make_shared<dist::FaultPlan>();
+    options.fault_plan->interrupt(3);
     dist::DistSweepRunner runner(options);
     EXPECT_THROW(runner.run(grid_spec()), Error);
   }
@@ -338,7 +344,8 @@ TEST_F(DistRunnerTest, AdaptiveJournaledSweepResumesMidRoundByteIdentically) {
     dist::DistOptions options;
     options.shards = 2;
     options.journal = journal_;
-    options.max_units = 10;
+    options.fault_plan = std::make_shared<dist::FaultPlan>();
+    options.fault_plan->interrupt(10);
     dist::DistSweepRunner runner(options);
     EXPECT_THROW(runner.run(spec), Error);
   }

@@ -4,7 +4,7 @@
 // A seeded generator produces hundreds of distinct fault schedules (worker
 // kills, stalls past the heartbeat deadline, dropped/truncated/delayed wire
 // frames, journal tears and bit flips, coordinator interrupts, elastic
-// resizes, both transports, varying shard counts), and a recovery driver
+// resizes, varying shard counts), and a recovery driver
 // runs each schedule to completion the way an operator would: resume from
 // the journal after a crash, discard the journal and start over when the
 // resume refuses a corrupted file. Every schedule must converge to CSV and
@@ -70,7 +70,6 @@ std::string json_bytes(const exp::ExperimentReport& report) {
 /// --fault-plan knob path on every schedule.
 struct Schedule {
   int shards = 2;
-  dist::TransportKind transport = dist::TransportKind::kPipe;
   bool journaled = false;
   int respawns = 0;
   int heartbeat_ms = 0;
@@ -79,9 +78,7 @@ struct Schedule {
 
 std::string describe(const Schedule& s) {
   std::ostringstream oss;
-  oss << "shards=" << s.shards << " transport="
-      << (s.transport == dist::TransportKind::kPipe ? "pipe" : "socketpair")
-      << " journal=" << (s.journaled ? "yes" : "no")
+  oss << "shards=" << s.shards << " journal=" << (s.journaled ? "yes" : "no")
       << " respawn=" << s.respawns << " heartbeat=" << s.heartbeat_ms
       << " plan='" << s.plan_text << "'";
   return oss.str();
@@ -93,8 +90,7 @@ std::string describe(const Schedule& s) {
 Schedule generate_schedule(std::mt19937_64& rng) {
   Schedule s;
   s.shards = 1 + static_cast<int>(rng() % 4);
-  s.transport = (rng() % 2 == 0) ? dist::TransportKind::kPipe
-                                 : dist::TransportKind::kSocketPair;
+  rng();  // former transport draw, kept so the pinned schedules stay the same
   const int n_actions = 1 + static_cast<int>(rng() % 4);
   int destructive = 0;     // faults that cost a worker its life
   int journal_wreckers = 0;  // tear/flip/interrupt — at most 2 per schedule
@@ -185,7 +181,6 @@ exp::ExperimentReport run_schedule(const exp::ExperimentSpec& spec,
   for (int attempt = 0; attempt < 12; ++attempt) {
     dist::DistOptions options;
     options.shards = s.shards;
-    options.transport = s.transport;
     options.max_respawns = s.respawns;
     options.heartbeat_ms = s.heartbeat_ms;
     options.fault_plan = plan;
@@ -272,7 +267,6 @@ TEST_F(FaultSoakTest, FreshSeed) {
 TEST_F(FaultSoakTest, KitchenSinkScheduleConverges) {
   Schedule s;
   s.shards = 3;
-  s.transport = dist::TransportKind::kSocketPair;
   s.journaled = true;
   s.respawns = 6;
   s.heartbeat_ms = 150;
