@@ -142,8 +142,8 @@ BENCHMARK(BM_IoSubsystemSerialChurn)->Arg(4)->Arg(32);
 
 void BM_NodePoolAllocRelease(benchmark::State& state) {
   // The scheduler's hot pair at Cielo scale: multi-thousand-node jobs
-  // starting and finishing. Segment moves + epoch-invalidated release make
-  // this O(nodes) once (at allocate) instead of four per-node touches.
+  // starting and finishing. Run-length free stack and allocations make both
+  // O(runs) instead of O(nodes).
   const PlatformSpec cielo = PlatformSpec::cielo();
   NodePool pool(cielo.nodes);
   const std::int64_t job_nodes = state.range(0);
@@ -163,6 +163,29 @@ void BM_NodePoolAllocRelease(benchmark::State& state) {
   state.SetItemsProcessed(64 * state.iterations());
 }
 BENCHMARK(BM_NodePoolAllocRelease)->Arg(512)->Arg(2048);
+
+void BM_NodePoolRestartChurn(benchmark::State& state) {
+  // The access pattern of a replica under the §5 restart model: a failure
+  // strikes a uniform node of a Cielo pool holding 4 jobs of ~2,300 nodes;
+  // a struck job is released and its restart re-allocated at once.
+  const PlatformSpec cielo = PlatformSpec::cielo();
+  NodePool pool(cielo.nodes);
+  constexpr std::int64_t kJobNodes = 2300;
+  JobId next = 0;
+  for (; next < 4; ++next) pool.allocate(next, kJobNodes);
+  Rng rng(4);
+  for (auto _ : state) {
+    const auto node = static_cast<std::int64_t>(
+        rng.uniform_index(static_cast<std::uint64_t>(cielo.nodes)));
+    const JobId victim = pool.owner_of(node);
+    if (victim != kNoJob) {
+      pool.release(victim);
+      pool.allocate(next++, kJobNodes);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NodePoolRestartChurn);
 
 void BM_LeastWasteSelect(benchmark::State& state) {
   const auto candidates = static_cast<std::size_t>(state.range(0));

@@ -93,6 +93,13 @@ class Runner {
     for (const Job& job : jobs) {
       next_job_id_ = std::max(next_job_id_, job.id + 1);
     }
+    // Lineages are keyed by their original job's id; restarts take ids from
+    // next_job_id_ upwards, so every root indexes this vector.
+    for (const Job& job : jobs) {
+      COOPCR_CHECK(job.root >= 0 && job.root < next_job_id_,
+                   "job root must be one of the submitted job ids");
+    }
+    lineage_max_.assign(static_cast<std::size_t>(next_job_id_), 0.0);
     // Failure events (trace is pre-drawn so all strategies share it).
     for (const Failure& f : failures) {
       if (f.time >= stop_time_) continue;
@@ -132,6 +139,13 @@ class Runner {
     bool live() const { return serial != 0; }
   };
 
+  /// One absorbed-but-not-yet-durable snapshot draining through `io_`.
+  struct DrainRec {
+    RequestId id = kInvalidRequest;
+    double volume = 0.0;
+    double pos = 0.0;  ///< work position the snapshot captured
+  };
+
   struct JobRt {
     Job job;
     const ClassOnPlatform* cls = nullptr;
@@ -155,7 +169,7 @@ class Runner {
     // drain completion, never at absorb completion.
     double absorb_pos = 0.0;            ///< position of the absorbing commit
     sim::Time last_drained_end = 0.0;   ///< d_i reference for drain candidates
-    std::vector<RequestId> drains;      ///< outstanding drains (in `io_`)
+    std::vector<DrainRec> drains;       ///< outstanding drains (in `io_`)
   };
 
   // --- configuration plumbing -----------------------------------------------
@@ -224,7 +238,9 @@ class Runner {
     last_util_t_ = t;
   }
 
-  double& lineage_max(JobId root) { return lineage_max_[root]; }
+  double& lineage_max(JobId root) {
+    return lineage_max_[static_cast<std::size_t>(root)];
+  }
 
   /// Close a compute interval [t0, t1): split into lost-work re-execution
   /// (positions below the lineage's high-water mark) and useful compute.
@@ -626,8 +642,8 @@ class Runner {
   /// fast-tier space is reclaimed); an already-draining transfer finishes.
   void enqueue_drain(JobRt& rt) {
     for (auto it = rt.drains.begin(); it != rt.drains.end();) {
-      if (io_->cancel(*it)) {
-        release_drain(*it);
+      if (io_->cancel(it->id)) {
+        bb_free_ += it->volume;
         ++result_.counters.bb_drains_superseded;
         it = rt.drains.erase(it);
       } else {
@@ -649,40 +665,31 @@ class Runner {
            it->second.job.checkpoint_bytes);
       }
     };
-    callbacks.on_complete = [this](RequestId id) { on_drain_complete(id); };
+    callbacks.on_complete = [this, jid](RequestId id) {
+      on_drain_complete(jid, id);
+    };
     const RequestId id =
         io_->submit(request, std::move(callbacks), rt.last_drained_end,
                     rt.cls->recovery_seconds);
-    drains_.emplace(id, DrainRec{jid, rt.job.checkpoint_bytes,
-                                 rt.absorb_pos});
-    rt.drains.push_back(id);
+    rt.drains.push_back(DrainRec{id, rt.job.checkpoint_bytes, rt.absorb_pos});
   }
 
-  /// Drop the bookkeeping of a drain that will never complete (cancelled,
-  /// aborted or torn down) and reclaim its fast-tier space.
-  void release_drain(RequestId id) {
-    auto it = drains_.find(id);
-    COOPCR_ASSERT(it != drains_.end(), "releasing unknown drain");
-    bb_free_ += it->second.volume;
-    drains_.erase(it);
-  }
-
-  void on_drain_complete(RequestId id) {
-    auto it = drains_.find(id);
-    COOPCR_ASSERT(it != drains_.end(), "completion for unknown drain");
-    const DrainRec rec = it->second;
-    drains_.erase(it);
-    bb_free_ += rec.volume;
-    ++result_.counters.bb_drains_completed;
-    auto jit = jobs_.find(rec.jid);
+  void on_drain_complete(JobId jid, RequestId id) {
+    auto jit = jobs_.find(jid);
     COOPCR_ASSERT(jit != jobs_.end(), "drain outlived its job");
     JobRt& rt = jit->second;
-    rt.drains.erase(std::find(rt.drains.begin(), rt.drains.end(), id));
+    auto it = std::find_if(rt.drains.begin(), rt.drains.end(),
+                           [id](const DrainRec& d) { return d.id == id; });
+    COOPCR_ASSERT(it != rt.drains.end(), "completion for unknown drain");
+    const DrainRec rec = *it;
+    rt.drains.erase(it);
+    bb_free_ += rec.volume;
+    ++result_.counters.bb_drains_completed;
     // The snapshot is durable now: restarts can resume from here.
     rt.has_snapshot = true;
     rt.snapshot_pos = std::max(rt.snapshot_pos, rec.pos);
     rt.last_drained_end = engine_.now();
-    tr(rec.jid, TraceKind::kIoEnd, IoKind::kDrain, rec.volume);
+    tr(jid, TraceKind::kIoEnd, IoKind::kDrain, rec.volume);
   }
 
   /// Tear down every outstanding drain of a finished or killed job. For a
@@ -690,9 +697,9 @@ class Runner {
   /// un-drained snapshots lived on the failed nodes' fast tier and are
   /// gone. At job completion the snapshots are merely obsolete.
   void abort_drains(JobRt& rt, bool lost) {
-    for (const RequestId id : rt.drains) {
-      io_->abort(id);
-      release_drain(id);
+    for (const DrainRec& drain : rt.drains) {
+      io_->abort(drain.id);
+      bb_free_ += drain.volume;
       if (lost) {
         ++result_.counters.bb_drains_aborted;
       } else {
@@ -818,6 +825,11 @@ class Runner {
     // The engine's clock stops at the last executed event, which can be well
     // before `stop`; the allocation integral must still cover the tail.
     note_alloc_change_at(stop);
+    // The accounting sums doubles in call order, so the order of this loop
+    // reaches the last bit of every result. That is why jobs_ stays a hash
+    // map rather than a vector indexed by job id: iterating live jobs in id
+    // order changes artifacts in the last ulp (the equivalence test pins the
+    // bits).
     for (auto& [jid, rt] : jobs_) {
       if (rt.state == JobState::kComputing ||
           (rt.state == JobState::kCkptWaitNb && !rt.chunk_blocked)) {
@@ -845,20 +857,12 @@ class Runner {
   IoSubsystem* io_ = nullptr;  ///< workspace-owned
   SimulationResult result_;
 
-  /// One absorbed-but-not-yet-durable snapshot draining through `io_`.
-  struct DrainRec {
-    JobId jid = kNoJob;
-    double volume = 0.0;
-    double pos = 0.0;  ///< work position the snapshot captured
-  };
-
   IoSubsystem* bb_io_ = nullptr;  ///< workspace-owned fast tier (tiered only)
   bool tiered_ = false;
   double bb_free_ = 0.0;  ///< free fast-tier capacity (bytes)
-  std::unordered_map<RequestId, DrainRec> drains_;
 
   std::unordered_map<JobId, JobRt> jobs_;
-  std::unordered_map<JobId, double> lineage_max_;
+  std::vector<double> lineage_max_;  ///< per root: highest work position
   JobId next_job_id_ = 0;
   std::uint64_t req_serial_ = 0;
   sim::Time stop_time_ = 0.0;

@@ -9,21 +9,20 @@
 // node has failed and is replaced by a hot spare"), so the pool size is
 // constant for the whole simulation.
 //
-// Hot path: jobs hold thousands of nodes and start/finish constantly, so
-// allocate() takes the top of the LIFO free stack as one bulk segment and
-// release() re-appends the job's segment wholesale — no per-node free-list
-// churn. Per-node ownership is written once at allocation as an
-// epoch-tagged word and never cleared: owner_of() (rare — one call per
-// failure strike) validates the epoch against the job's live allocation, so
-// stale words from finished jobs read as "free". Node-to-job assignment
-// order is identical to the historical per-node pop/push implementation,
-// which keeps failure victims — and therefore whole simulations —
-// bit-identical.
+// Hot path: jobs hold thousands of nodes and, under the §5 restart model,
+// every failure strike releases one and re-allocates it at once. The pool
+// therefore never touches individual nodes. The LIFO free stack is a short
+// list of runs of consecutive node indices, and an allocation is the short
+// list of runs it popped off the top. allocate() splits at most one run,
+// release() pushes the job's runs back (merging adjacent ones), and
+// owner_of() scans the few live allocations' runs. Expanding the runs gives
+// exactly the node order of a per-node pop/push free stack, so failure
+// victims — and therefore whole simulations — match that implementation
+// bit for bit.
 
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace coopcr {
@@ -40,9 +39,9 @@ class NodePool {
   /// Create a pool of `node_count` units, all free.
   explicit NodePool(std::int64_t node_count);
 
-  std::int64_t total() const { return static_cast<std::int64_t>(owner_.size()); }
+  std::int64_t total() const { return total_; }
   std::int64_t free_count() const { return free_count_; }
-  std::int64_t allocated_count() const { return total() - free_count_; }
+  std::int64_t allocated_count() const { return total_ - free_count_; }
 
   /// True when at least `count` units are free.
   bool can_allocate(std::int64_t count) const { return count <= free_count_; }
@@ -57,27 +56,44 @@ class NodePool {
   /// Owner of node `index`, or kNoJob when free.
   JobId owner_of(std::int64_t index) const;
 
-  /// Units currently held by `job` (empty vector if none).
-  const std::vector<std::int64_t>& nodes_of(JobId job) const;
+  /// Units currently held by `job`, in allocation order (empty if none).
+  std::vector<std::int64_t> nodes_of(JobId job) const;
 
   /// Number of jobs currently holding allocations.
-  std::size_t job_count() const { return allocations_.size(); }
+  std::size_t job_count() const { return live_; }
 
   /// Fraction of units currently allocated, in [0, 1].
   double utilization() const;
 
  private:
-  struct Allocation {
-    std::vector<std::int64_t> nodes;
-    std::uint32_t epoch = 0;
+  /// Nodes first, first + step, ..., first + (len - 1) * step; step is ±1.
+  struct Run {
+    std::int64_t first = 0;
+    std::int64_t len = 0;
+    std::int64_t step = 1;
+
+    std::int64_t last() const { return first + (len - 1) * step; }
+    bool contains(std::int64_t node) const;
   };
 
-  std::vector<std::uint64_t> owner_;     // per-unit (epoch << 32 | job+1)
-  std::vector<std::int64_t> free_list_;  // free units (LIFO stack)
-  std::unordered_map<JobId, Allocation> allocations_;
+  struct Allocation {
+    JobId job = kNoJob;
+    std::vector<Run> runs;  ///< in allocation order
+  };
+
+  /// Append `run` to `runs`, merging it into the back run when contiguous.
+  static void push_run(std::vector<Run>& runs, const Run& run);
+
+  /// Index of `job`'s live allocation, or live_ when it holds none.
+  std::size_t find(JobId job) const;
+
+  std::int64_t total_ = 0;
   std::int64_t free_count_ = 0;
-  std::uint32_t next_epoch_ = 0;
-  static const std::vector<std::int64_t> kEmpty;
+  std::vector<Run> free_;  ///< free stack, bottom to top
+  /// The first live_ entries are the live allocations; the rest are spare
+  /// slots kept for their run-vector capacity.
+  std::vector<Allocation> allocations_;
+  std::size_t live_ = 0;
 };
 
 }  // namespace coopcr

@@ -1,6 +1,6 @@
 #include "sched/job_scheduler.hpp"
 
-#include "util/error.hpp"
+#include <algorithm>
 
 namespace coopcr {
 
@@ -10,36 +10,22 @@ void JobScheduler::submit(const Job& job) {
   COOPCR_CHECK(job.well_formed(), "scheduler received a malformed job");
   COOPCR_CHECK(job.nodes <= pool_.total(),
                "job larger than the whole platform");
-  Entry entry{job, seq_++};
   // Insert before the first entry with strictly lower priority; within a
-  // priority band insertion order (seq) is preserved.
-  auto it = pending_.begin();
-  while (it != pending_.end() && it->job.priority >= entry.job.priority) ++it;
-  pending_.insert(it, std::move(entry));
+  // priority band submission order is preserved.
+  const auto it =
+      std::find_if(pending_.begin(), pending_.end(), [&](const Job& queued) {
+        return queued.priority < job.priority;
+      });
+  const auto index = static_cast<std::size_t>(it - pending_.begin());
+  pending_.insert(it, job);
+  // A job inserted ahead of pump()'s cursor waits for the next pass.
+  if (cursor_ != kIdle && index <= cursor_) ++cursor_;
   ++submitted_;
-}
-
-std::size_t JobScheduler::pump(const StartFn& start) {
-  COOPCR_CHECK(static_cast<bool>(start), "pump needs a start callback");
-  std::size_t launched = 0;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (pool_.can_allocate(it->job.nodes)) {
-      const Job job = it->job;
-      it = pending_.erase(it);
-      pool_.allocate(job.id, job.nodes);
-      ++started_;
-      ++launched;
-      start(job);
-    } else {
-      ++it;
-    }
-  }
-  return launched;
 }
 
 std::int64_t JobScheduler::pending_nodes() const {
   std::int64_t sum = 0;
-  for (const auto& entry : pending_) sum += entry.job.nodes;
+  for (const Job& job : pending_) sum += job.nodes;
   return sum;
 }
 

@@ -12,10 +12,11 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <list>
+#include <limits>
+#include <vector>
 
 #include "platform/node_pool.hpp"
+#include "util/error.hpp"
 #include "workload/job.hpp"
 
 namespace coopcr {
@@ -23,20 +24,37 @@ namespace coopcr {
 /// Pending-queue manager with first-fit placement.
 class JobScheduler {
  public:
-  /// Invoked for every job the scheduler decides to start; the callee is
-  /// responsible for the job's lifecycle from then on (nodes are already
-  /// allocated in the pool when the callback runs).
-  using StartFn = std::function<void(const Job&)>;
-
   explicit JobScheduler(NodePool& pool);
 
   /// Add a job to the pending queue. Position honours (priority desc,
   /// submission order asc).
   void submit(const Job& job);
 
-  /// Scan the queue first-fit and start everything that fits.
-  /// Returns the number of jobs started.
-  std::size_t pump(const StartFn& start);
+  /// Scan the queue first-fit and start everything that fits, calling
+  /// `start(job)` for each; the callee is responsible for the job's
+  /// lifecycle from then on (its nodes are already allocated in the pool).
+  /// `start` may submit() more jobs: one queued behind the job being started
+  /// is scanned in this same pass. Returns the number of jobs started.
+  template <typename StartFn>
+  std::size_t pump(StartFn&& start) {
+    COOPCR_CHECK(cursor_ == kIdle, "pump is not re-entrant");
+    std::size_t launched = 0;
+    for (cursor_ = 0; cursor_ < pending_.size();) {
+      if (!pool_.can_allocate(pending_[cursor_].nodes)) {
+        ++cursor_;
+        continue;
+      }
+      const Job job = pending_[cursor_];
+      pending_.erase(pending_.begin() +
+                     static_cast<std::ptrdiff_t>(cursor_));
+      pool_.allocate(job.id, job.nodes);
+      ++started_;
+      ++launched;
+      start(job);
+    }
+    cursor_ = kIdle;
+    return launched;
+  }
 
   std::size_t pending_count() const { return pending_.size(); }
   bool has_pending() const { return !pending_.empty(); }
@@ -49,14 +67,11 @@ class JobScheduler {
   std::size_t total_started() const { return started_; }
 
  private:
-  struct Entry {
-    Job job;
-    std::size_t seq;  ///< submission order — FCFS tie-break within a priority
-  };
+  static constexpr std::size_t kIdle = std::numeric_limits<std::size_t>::max();
 
   NodePool& pool_;
-  std::list<Entry> pending_;
-  std::size_t seq_ = 0;
+  std::vector<Job> pending_;  ///< in scan order
+  std::size_t cursor_ = kIdle;  ///< next index pump() examines
   std::size_t submitted_ = 0;
   std::size_t started_ = 0;
 };

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <ios>
 #include <string>
 #include <vector>
 
@@ -51,28 +53,51 @@ struct PinnedRun {
   std::uint64_t jobs_completed;
   std::uint64_t restarts_submitted;
   std::uint64_t io_requests;
+  // Exact bit patterns of the run's useful and wasted unit-seconds and total
+  // joules. Accounting sums doubles in the order the simulation closes its
+  // intervals, so these catch a reordering that leaves every counter intact
+  // (e.g. iterating the live jobs in a different order at the stop time).
+  double useful;
+  double wasted;
+  double energy_total;
 };
 
 // Captured from the seed (pre-overhaul) implementation: replica 0, seed
 // 0xD373C7, Cielo/APEX @ 40 GB/s, node MTBF 2 y, 8-day measured segment.
+// The useful/wasted/energy bit patterns came later: they were captured from
+// the per-node NodePool implementation just before the run-length pool
+// replaced it.
 const std::vector<PinnedRun>& pinned_runs() {
   static const std::vector<PinnedRun> kPinned = {
       {"Oblivious-Fixed", 1795ull, 3868ull, 223, 217, 788, 664, 112, 0, 232,
-       0, 217, 1020},
+       0, 217, 1020,
+       0x1.c609258a5e22ep+30, 0x1.31423f4eb43bcp+33, 0x1.b35ea8aef40bap+40},
       {"Oblivious-Daly", 1588ull, 3399ull, 223, 215, 631, 556, 67, 0, 240,
-       13, 215, 886},
+       13, 215, 886,
+       0x1.1ad94ce3655c1p+32, 0x1.aa8d337dd20c6p+32, 0x1.e8801636a16aap+40},
       {"Ordered-Fixed", 1987ull, 2952ull, 223, 217, 867, 729, 23, 0, 232, 0,
-       217, 1099},
+       217, 1099,
+       0x1.5da7c7ef78301p+30, 0x1.3e4e6b0210f99p+33, 0x1.491d59775ba9ep+40},
       {"Ordered-Daly", 1657ull, 2575ull, 223, 214, 641, 573, 19, 0, 239, 13,
-       214, 893},
+       214, 893,
+       0x1.020e6f80ffd83p+32, 0x1.c14f7e6d80c06p+32, 0x1.b25c9afaf5a02p+40},
       {"Ordered-NB-Fixed", 1652ull, 2431ull, 223, 208, 671, 547, 22, 12, 234,
-       20, 208, 926},
+       20, 208, 926,
+       0x1.56b5782e87a95p+32, 0x1.5f607d1485e72p+32, 0x1.cf6a9882a926p+40},
       {"Ordered-NB-Daly", 1416ull, 2179ull, 223, 207, 518, 446, 15, 6, 233,
-       20, 207, 771},
+       20, 207, 771,
+       0x1.6e9045b02adfap+32, 0x1.46a36f7c07324p+32, 0x1.f043758e68a4p+40},
       {"Least-Waste", 1416ull, 2203ull, 223, 204, 513, 439, 22, 8, 230, 20,
-       204, 763},
+       204, 763,
+       0x1.90d0f71218a2bp+32, 0x1.21ba6e6b053f2p+32, 0x1.0888b90faf9b6p+41},
   };
   return kPinned;
+}
+
+void expect_same_bits(double actual, double expected) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+            std::bit_cast<std::uint64_t>(expected))
+      << std::hexfloat << actual << " != " << expected;
 }
 
 class EngineEquivalence : public ::testing::TestWithParam<std::size_t> {};
@@ -95,6 +120,9 @@ TEST_P(EngineEquivalence, EventStreamMatchesSeedImplementation) {
   EXPECT_EQ(c.jobs_completed, expected.jobs_completed);
   EXPECT_EQ(c.restarts_submitted, expected.restarts_submitted);
   EXPECT_EQ(c.io_requests, expected.io_requests);
+  expect_same_bits(run.result.useful, expected.useful);
+  expect_same_bits(run.result.wasted, expected.wasted);
+  expect_same_bits(run.result.energy.total(), expected.energy_total);
 }
 
 std::string pinned_name(const ::testing::TestParamInfo<std::size_t>& info) {
@@ -139,6 +167,9 @@ TEST(EngineEquivalence, TieredCommitPathMatchesSeedImplementation) {
   EXPECT_EQ(c.bb_drains_withdrawn, 9u);
   EXPECT_EQ(c.bb_drains_superseded, 154u);
   EXPECT_DOUBLE_EQ(run.waste_ratio, 0.49727453853373377);
+  expect_same_bits(run.result.useful, 0x1.59bf2da418cedp+32);
+  expect_same_bits(run.result.wasted, 0x1.5840e0fe33c46p+32);
+  expect_same_bits(run.result.energy.total(), 0x1.0d35bd6e3f901p+41);
 }
 
 // Workspace reuse must be behaviour-neutral: running the same simulation

@@ -96,6 +96,27 @@ TEST(Scheduler, PumpAllocatesBeforeCallback) {
   });
 }
 
+TEST(Scheduler, SubmitFromStartCallbackKeepsScanOrder) {
+  NodePool pool(10);
+  JobScheduler sched(pool);
+  sched.submit(make_job(1, 2));
+  sched.submit(make_job(2, 2));
+  std::vector<JobId> started;
+  const auto start = [&](const Job& j) {
+    started.push_back(j.id);
+    if (j.id != 1) return;
+    // Queued ahead of the scan position: waits for the next pass.
+    sched.submit(make_job(3, 2, 1));
+    // Queued behind it: started in this same pass.
+    sched.submit(make_job(4, 2));
+  };
+  EXPECT_EQ(sched.pump(start), 3u);
+  EXPECT_EQ(started, (std::vector<JobId>{1, 2, 4}));
+  EXPECT_EQ(sched.pending_count(), 1u);
+  sched.pump(start);
+  EXPECT_EQ(started, (std::vector<JobId>{1, 2, 4, 3}));
+}
+
 TEST(Scheduler, CountsSubmittedAndStarted) {
   NodePool pool(4);
   JobScheduler sched(pool);
