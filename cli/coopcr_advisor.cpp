@@ -69,22 +69,6 @@ int int_arg(const std::string& flag, const char* value) {
   }
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 double double_arg(const std::string& flag, const char* value) {
   COOPCR_CHECK(value != nullptr, flag + " needs a value");
   try {
@@ -193,7 +177,7 @@ int main(int argc, char** argv) {
       try {
         std::cout << advisor.answer_json(line) << "\n";
       } catch (const std::exception& e) {
-        std::cout << "{\"error\":\"" << json_escape(e.what()) << "\"}\n";
+        std::cout << "{\"error\":\"" << json_escaped(e.what()) << "\"}\n";
       }
       if (serve_mode) {
         std::cout.flush();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -12,36 +11,13 @@
 #include "util/csv.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 namespace coopcr::exp {
 
 namespace {
-
-/// Minimal JSON string escape (quotes, backslashes, control characters).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Candlestick summary plus the sample standard error ("se") the serving
 /// layer's interpolation propagates (0 for fewer than 2 samples).
@@ -53,7 +29,8 @@ void write_candlestick_json(std::ostream& os, const SampleSet& samples) {
      << format_number(c.d1) << ",\"q1\":" << format_number(c.q1)
      << ",\"median\":" << format_number(c.median) << ",\"q3\":"
      << format_number(c.q3) << ",\"d9\":" << format_number(c.d9)
-     << ",\"se\":" << format_number(se) << ",\"n\":" << c.n << "}";
+     << ",\"se\":" << format_number(se) << ",\"n\":" << std::to_string(c.n)
+     << "}";
 }
 
 }  // namespace
@@ -211,23 +188,26 @@ void ExperimentReport::write_csv(std::ostream& os) const {
 }
 
 void ExperimentReport::write_json(std::ostream& os) const {
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"name\":\""
-     << json_escape(name) << "\",\"replicas\":" << replicas << ",\"axes\":[";
+  // Integers go through std::to_string: `os << int` would use the caller
+  // stream's locale, which may group digits ("1,234").
+  os << "{\"schema_version\":" << std::to_string(kSchemaVersion)
+     << ",\"name\":\"" << json_escaped(name)
+     << "\",\"replicas\":" << std::to_string(replicas) << ",\"axes\":[";
   for (std::size_t a = 0; a < axis_names.size(); ++a) {
     if (a > 0) os << ",";
-    os << "\"" << json_escape(axis_names[a]) << "\"";
+    os << "\"" << json_escaped(axis_names[a]) << "\"";
   }
   os << "],\"points\":[";
   for (std::size_t p = 0; p < points.size(); ++p) {
     const PointResult& pr = points[p];
     if (p > 0) os << ",";
-    os << "{\"index\":" << pr.point.index << ",\"coords\":[";
+    os << "{\"index\":" << std::to_string(pr.point.index) << ",\"coords\":[";
     for (std::size_t c = 0; c < pr.point.coords.size(); ++c) {
       const AxisCoordinate& coord = pr.point.coords[c];
       if (c > 0) os << ",";
-      os << "{\"axis\":\"" << json_escape(coord.axis) << "\",\"value\":"
+      os << "{\"axis\":\"" << json_escaped(coord.axis) << "\",\"value\":"
          << format_number(coord.value) << ",\"label\":\""
-         << json_escape(coord.label) << "\"}";
+         << json_escaped(coord.label) << "\"}";
     }
     const BurstBufferConfig& bb = pr.point.scenario.simulation.burst_buffer;
     os << "],\"burst_buffer\":{\"capacity_factor\":"
@@ -241,7 +221,7 @@ void ExperimentReport::write_json(std::ostream& os) const {
     for (std::size_t s = 0; s < pr.report.outcomes.size(); ++s) {
       const StrategyOutcome& outcome = pr.report.outcomes[s];
       if (s > 0) os << ",";
-      os << "{\"name\":\"" << json_escape(outcome.strategy.name())
+      os << "{\"name\":\"" << json_escaped(outcome.strategy.name())
          << "\",\"metrics\":{";
       bool first = true;
       for (const Metric metric : all_metrics()) {
@@ -259,18 +239,20 @@ void ExperimentReport::write_json(std::ostream& os) const {
            << ",\"vr_factor\":" << format_number(est.vr_factor)
            << ",\"ess\":" << format_number(est.ess)
            << ",\"cv_beta\":" << format_number(est.cv_beta)
-           << ",\"simulations\":" << est.simulations << "}";
+           << ",\"simulations\":" << std::to_string(est.simulations)
+           << "}";
       }
       if (outcome.contrast.enabled) {
         const VrEstimate& est = outcome.contrast.estimate;
         os << ",\"contrast\":{\"reference\":\""
-           << json_escape(pr.report.contrast_reference)
+           << json_escaped(pr.report.contrast_reference)
            << "\",\"mean\":" << format_number(est.mean)
            << ",\"std_error\":" << format_number(est.std_error)
            << ",\"ci_width\":" << format_number(est.ci_width)
            << ",\"vr_factor\":" << format_number(est.vr_factor)
            << ",\"ess\":" << format_number(est.ess)
-           << ",\"simulations\":" << est.simulations << "}";
+           << ",\"simulations\":" << std::to_string(est.simulations)
+           << "}";
       }
       os << "}";
     }

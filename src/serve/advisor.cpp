@@ -1,22 +1,26 @@
 #include "serve/advisor.hpp"
 
 #include <chrono>
-#include <sstream>
+#include <string>
 
 #include "util/csv.hpp"
 
 namespace coopcr::serve {
 
 std::string AdvisorStats::to_json() const {
-  std::ostringstream os;
-  os << "{\"stats\":{\"queries\":" << queries
-     << ",\"cache_hits\":" << cache_hits
-     << ",\"cache_misses\":" << cache_misses
-     << ",\"interpolated\":" << interpolated << ",\"computed\":" << computed
-     << ",\"last_latency_ms\":" << format_number(last_latency_ms, 6)
-     << ",\"total_latency_ms\":" << format_number(total_latency_ms, 6)
-     << "}}";
-  return os.str();
+  // Integers via std::to_string, never `ostream <<`: a global locale that
+  // groups digits would print "1,234" and break the JSON.
+  std::string out = "{\"stats\":{\"queries\":" + std::to_string(queries) +
+                    ",\"cache_hits\":" + std::to_string(cache_hits) +
+                    ",\"cache_misses\":" + std::to_string(cache_misses) +
+                    ",\"interpolated\":" + std::to_string(interpolated) +
+                    ",\"computed\":" + std::to_string(computed) +
+                    ",\"last_latency_ms\":";
+  append_number(out, last_latency_ms, 6);
+  out += ",\"total_latency_ms\":";
+  append_number(out, total_latency_ms, 6);
+  out += "}}";
+  return out;
 }
 
 Advisor::Advisor(AdvisorOptions options)

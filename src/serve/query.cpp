@@ -1,7 +1,6 @@
 #include "serve/query.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "dist/journal.hpp"
 #include "util/csv.hpp"
@@ -12,37 +11,23 @@ namespace coopcr::serve {
 
 namespace {
 
-/// Minimal JSON string escape (quotes, backslashes, control characters) —
-/// mirrors the report emitter's escape set.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+/// Append `"s"`, escaped.
+void append_quoted(std::string& out, const std::string& s) {
+  out += '"';
+  append_json_escaped(out, s);
+  out += '"';
 }
 
-void render_estimate(std::ostream& os, const StrategyEstimate& e) {
-  os << "{\"strategy\":\"" << json_escape(e.strategy)
-     << "\",\"value\":" << format_number(e.value)
-     << ",\"se\":" << format_number(e.se)
-     << ",\"ci_halfwidth\":" << format_number(e.ci_halfwidth);
+/// The estimate's members, leaving its object open for "periods".
+void append_estimate(std::string& out, const StrategyEstimate& e) {
+  out += "{\"strategy\":";
+  append_quoted(out, e.strategy);
+  out += ",\"value\":";
+  append_number(out, e.value);
+  out += ",\"se\":";
+  append_number(out, e.se);
+  out += ",\"ci_halfwidth\":";
+  append_number(out, e.ci_halfwidth);
 }
 
 }  // namespace
@@ -85,12 +70,14 @@ std::string AdvisorQuery::canonical() const {
   std::vector<std::pair<std::string, double>> sorted = coords;
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::ostringstream os;
-  os << "experiment=" << experiment << "|metric=" << metric;
+  std::string out = "experiment=" + experiment + "|metric=" + metric;
   for (const auto& [axis, value] : sorted) {
-    os << "|" << axis << "=" << format_number(value);
+    out += '|';
+    out += axis;
+    out += '=';
+    append_number(out, value);
   }
-  return os.str();
+  return out;
 }
 
 std::uint64_t AdvisorQuery::digest() const {
@@ -105,33 +92,46 @@ const StrategyEstimate& AdvisorAnswer::best() const {
 }
 
 std::string AdvisorAnswer::to_json() const {
-  std::ostringstream os;
-  os << "{\"answer_version\":" << kAnswerVersion << ",\"experiment\":\""
-     << json_escape(experiment) << "\",\"metric\":\"" << json_escape(metric)
-     << "\",\"coords\":{";
+  std::string out = "{\"answer_version\":";
+  out += std::to_string(kAnswerVersion);
+  out += ",\"experiment\":";
+  append_quoted(out, experiment);
+  out += ",\"metric\":";
+  append_quoted(out, metric);
+  out += ",\"coords\":{";
   for (std::size_t i = 0; i < coords.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "\"" << json_escape(coords[i].first)
-       << "\":" << format_number(coords[i].second);
+    if (i > 0) out += ',';
+    append_quoted(out, coords[i].first);
+    out += ':';
+    append_number(out, coords[i].second);
   }
-  os << "},\"source\":\"" << json_escape(source) << "\",\"backend\":\""
-     << json_escape(backend) << "\",\"higher_is_better\":"
-     << (higher_is_better ? "true" : "false") << ",\"best\":";
-  render_estimate(os, best());
-  os << ",\"periods\":[";
+  out += "},\"source\":";
+  append_quoted(out, source);
+  out += ",\"backend\":";
+  append_quoted(out, backend);
+  out += ",\"higher_is_better\":";
+  out += higher_is_better ? "true" : "false";
+  out += ",\"best\":";
+  append_estimate(out, best());
+  out += ",\"periods\":[";
   for (std::size_t i = 0; i < best_periods.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "{\"app\":\"" << json_escape(best_periods[i].app)
-       << "\",\"seconds\":" << format_number(best_periods[i].seconds) << "}";
+    if (i > 0) out += ',';
+    out += "{\"app\":";
+    append_quoted(out, best_periods[i].app);
+    out += ",\"seconds\":";
+    append_number(out, best_periods[i].seconds);
+    out += '}';
   }
-  os << "]},\"ranking\":[";
+  out += "]},\"ranking\":[";
   for (std::size_t i = 0; i < ranking.size(); ++i) {
-    if (i > 0) os << ",";
-    render_estimate(os, ranking[i]);
-    os << "}";
+    if (i > 0) out += ',';
+    append_estimate(out, ranking[i]);
+    out += '}';
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  // The query cache and the client keep answers: drop the growth slack.
+  out.shrink_to_fit();
+  return out;
 }
 
 }  // namespace coopcr::serve

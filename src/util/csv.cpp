@@ -1,20 +1,35 @@
 #include "util/csv.hpp"
 
-#include <locale>
+#include <charconv>
 #include <ostream>
-#include <sstream>
 
 #include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace coopcr {
 
+void append_number(std::string& out, double value, int significant_digits) {
+  // std::to_chars with a precision is specified as printf("%.*g") in the C
+  // locale, which prints at most `significant_digits` digits plus a sign, a
+  // point and four leading zeros or an exponent.
+  const auto render = [&](char* first, char* last) {
+    return std::to_chars(first, last, value, std::chars_format::general,
+                         significant_digits);
+  };
+  char buf[48];
+  const auto [end, ec] = render(buf, buf + sizeof buf);
+  if (ec == std::errc()) {
+    out.append(buf, end);
+    return;
+  }
+  std::string wide(static_cast<std::size_t>(significant_digits) + 16, '\0');
+  out.append(wide.data(), render(wide.data(), wide.data() + wide.size()).ptr);
+}
+
 std::string format_number(double value, int significant_digits) {
-  std::ostringstream oss;
-  oss.imbue(std::locale::classic());
-  oss.precision(significant_digits);
-  oss << value;
-  return oss.str();
+  std::string out;
+  append_number(out, value, significant_digits);
+  return out;
 }
 
 CsvWriter::CsvWriter(const std::string& path) : file_(path), out_(&file_) {

@@ -14,10 +14,15 @@
 
 namespace coopcr {
 
-/// Format `value` with `significant_digits` digits, independent of the
-/// global C/C++ locale (always '.' as the decimal separator). The default of
-/// 17 significant digits round-trips any double exactly through strtod —
-/// the exp::ExperimentReport CSV/JSON emission relies on this.
+/// Append `value` to `out` with `significant_digits` digits: the bytes of
+/// printf("%.*g") in the C locale (what `ostream << double` prints at that
+/// precision), independent of the global C/C++ locale. The default of 17
+/// significant digits round-trips any double exactly through strtod — the
+/// exp::ExperimentReport CSV/JSON emission and the serve/ answers rely on
+/// this.
+void append_number(std::string& out, double value, int significant_digits = 17);
+
+/// append_number into a fresh string.
 std::string format_number(double value, int significant_digits = 17);
 
 /// RFC-4180-ish CSV writer (quotes fields containing separators/quotes).

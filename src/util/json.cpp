@@ -295,6 +295,34 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
+void append_json_escaped(std::string& out, const std::string& s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+std::string json_escaped(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  append_json_escaped(out, s);
+  return out;
+}
+
 JsonValue JsonValue::parse(const std::string& text) {
   return JsonParser(text).parse_document();
 }

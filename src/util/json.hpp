@@ -1,6 +1,8 @@
 // coopcr/util/json.hpp
 //
-// Minimal JSON reader for the repo's own artifacts.
+// Minimal JSON reader for the repo's own artifacts, plus the one string
+// escaper every JSON emitter (exp/report.cpp, serve/query.cpp,
+// cli/coopcr_advisor) writes with.
 //
 // The exp layer emits report JSON (exp/report.cpp) and the serve layer
 // reads it back; the container ships no JSON library, so this is a small
@@ -21,6 +23,15 @@
 #include <vector>
 
 namespace coopcr {
+
+/// Append `s` to `out` escaped for the inside of a JSON string literal (no
+/// surrounding quotes): `"` and `\` are backslash-escaped, \n \r \t use
+/// their short forms, other control bytes below 0x20 become \u00xx (lower
+/// case hex). Every other byte, UTF-8 included, passes through.
+void append_json_escaped(std::string& out, const std::string& s);
+
+/// append_json_escaped into a fresh string, for stream emitters.
+std::string json_escaped(const std::string& s);
 
 /// One parsed JSON value. Object member order is preserved (emission order
 /// is deterministic, so tests can rely on it); lookups are linear — our
