@@ -14,11 +14,10 @@
 // durable: kill it (or a worker) at any point and rerun with --resume to
 // finish only the missing units.
 //
-//   coopcr_sweep --spec fig1 --replicas 20 --shards 4 \
-//       --journal fig1.journal --out artifacts/
+//   args="--spec fig1 --replicas 20 --shards 4 --journal fig1.journal"
+//   coopcr_sweep $args --out artifacts/
 //   ...SIGKILL...
-//   coopcr_sweep --spec fig1 --replicas 20 --shards 4 \
-//       --journal fig1.journal --resume --out artifacts/
+//   coopcr_sweep $args --resume --out artifacts/
 //
 // --exec-workers spawns workers by re-executing this binary with --worker
 // (they rebuild the spec from their own command line and the coordinator

@@ -91,6 +91,7 @@ class Runner {
     }
     next_job_id_ = 0;
     for (const Job& job : jobs) {
+      COOPCR_CHECK(job.id >= 0, "job ids must be non-negative");
       next_job_id_ = std::max(next_job_id_, job.id + 1);
     }
     // Lineages are keyed by their original job's id; restarts take ids from
@@ -334,6 +335,9 @@ class Runner {
     auto [it, inserted] = jobs_.emplace(job.id, JobRt{});
     COOPCR_ASSERT(inserted, "duplicate job id started");
     JobRt& rt = it->second;
+    const auto slot = static_cast<std::size_t>(job.id);
+    if (slot >= job_index_.size()) job_index_.resize(slot + 1, nullptr);
+    job_index_[slot] = &rt;
     rt.job = job;
     rt.cls = &cls_of(job);
     rt.state = JobState::kInitialIo;
@@ -384,17 +388,17 @@ class Runner {
     const RequestId id = target.submit(request, std::move(callbacks),
                                        rt.last_ckpt_end,
                                        rt.cls->recovery_seconds);
-    auto it = jobs_.find(jid);
-    if (it != jobs_.end() && it->second.req.serial == serial &&
-        it->second.req.id == kInvalidRequest) {
-      it->second.req.id = id;
+    JobRt* live = find_job(jid);
+    if (live != nullptr && live->req.serial == serial &&
+        live->req.id == kInvalidRequest) {
+      live->req.id = id;
     }
   }
 
   void on_request_start(JobId jid, std::uint64_t serial, RequestId id) {
-    auto it = jobs_.find(jid);
-    if (it == jobs_.end()) return;
-    JobRt& rt = it->second;
+    JobRt* live = find_job(jid);
+    if (live == nullptr) return;
+    JobRt& rt = *live;
     if (rt.req.serial != serial) return;  // stale notification
     rt.req.id = id;
     rt.req.started = engine_.now();
@@ -441,9 +445,9 @@ class Runner {
 
   void on_request_complete(JobId jid, std::uint64_t serial,
                            RequestId /*id*/) {
-    auto it = jobs_.find(jid);
-    if (it == jobs_.end()) return;
-    JobRt& rt = it->second;
+    JobRt* live = find_job(jid);
+    if (live == nullptr) return;
+    JobRt& rt = *live;
     if (rt.req.serial != serial) return;  // stale notification
     account_request_end(rt, /*completed=*/true, engine_.now());
     tr(jid, TraceKind::kIoEnd, rt.req.kind, rt.req.volume);
@@ -518,9 +522,9 @@ class Runner {
   }
 
   void on_milestone(JobId jid, double target) {
-    auto it = jobs_.find(jid);
-    COOPCR_ASSERT(it != jobs_.end(), "milestone for unknown job");
-    JobRt& rt = it->second;
+    JobRt* live = find_job(jid);
+    COOPCR_ASSERT(live != nullptr, "milestone for unknown job");
+    JobRt& rt = *live;
     rt.milestone = sim::kInvalidEventId;
     COOPCR_ASSERT(rt.state == JobState::kComputing ||
                       rt.state == JobState::kCkptWaitNb,
@@ -568,9 +572,9 @@ class Runner {
   }
 
   void on_ckpt_timer(JobId jid) {
-    auto it = jobs_.find(jid);
-    COOPCR_ASSERT(it != jobs_.end(), "checkpoint timer for unknown job");
-    JobRt& rt = it->second;
+    JobRt* live = find_job(jid);
+    COOPCR_ASSERT(live != nullptr, "checkpoint timer for unknown job");
+    JobRt& rt = *live;
     rt.ckpt_timer = sim::kInvalidEventId;
     if (rt.state != JobState::kComputing) {
       // Busy with routine I/O — remember and request at the next resume.
@@ -659,10 +663,9 @@ class Runner {
     const JobId jid = rt.job.id;
     RequestCallbacks callbacks;
     callbacks.on_start = [this, jid](RequestId) {
-      auto it = jobs_.find(jid);
-      if (it != jobs_.end()) {
+      if (const JobRt* live = find_job(jid)) {
         tr(jid, TraceKind::kIoStart, IoKind::kDrain,
-           it->second.job.checkpoint_bytes);
+           live->job.checkpoint_bytes);
       }
     };
     callbacks.on_complete = [this, jid](RequestId id) {
@@ -675,9 +678,9 @@ class Runner {
   }
 
   void on_drain_complete(JobId jid, RequestId id) {
-    auto jit = jobs_.find(jid);
-    COOPCR_ASSERT(jit != jobs_.end(), "drain outlived its job");
-    JobRt& rt = jit->second;
+    JobRt* live = find_job(jid);
+    COOPCR_ASSERT(live != nullptr, "drain outlived its job");
+    JobRt& rt = *live;
     auto it = std::find_if(rt.drains.begin(), rt.drains.end(),
                            [id](const DrainRec& d) { return d.id == id; });
     COOPCR_ASSERT(it != rt.drains.end(), "completion for unknown drain");
@@ -725,7 +728,7 @@ class Runner {
     const JobId jid = rt.job.id;
     note_alloc_change();
     pool_.release(jid);
-    jobs_.erase(jid);
+    forget_job(jid);
     pump_scheduler();
   }
 
@@ -740,9 +743,9 @@ class Runner {
   }
 
   void kill_job(JobId jid) {
-    auto it = jobs_.find(jid);
-    COOPCR_ASSERT(it != jobs_.end(), "failure on unknown job");
-    JobRt& rt = it->second;
+    JobRt* live = find_job(jid);
+    COOPCR_ASSERT(live != nullptr, "failure on unknown job");
+    JobRt& rt = *live;
     tr(jid, TraceKind::kFailure);
 
     // Close the open compute interval (if any).
@@ -805,9 +808,23 @@ class Runner {
        static_cast<double>(restart.id));
     note_alloc_change();
     pool_.release(jid);
-    jobs_.erase(it);
+    forget_job(jid);
     scheduler_.submit(restart);
     pump_scheduler();
+  }
+
+  // --- job table ---------------------------------------------------------------
+
+  /// Live runtime state of a started job, or nullptr once it completed or
+  /// was killed (its callbacks may still be in flight).
+  JobRt* find_job(JobId jid) const {
+    const auto slot = static_cast<std::size_t>(jid);
+    return slot < job_index_.size() ? job_index_[slot] : nullptr;
+  }
+
+  void forget_job(JobId jid) {
+    job_index_[static_cast<std::size_t>(jid)] = nullptr;
+    jobs_.erase(jid);
   }
 
   // --- teardown ----------------------------------------------------------------
@@ -827,9 +844,9 @@ class Runner {
     note_alloc_change_at(stop);
     // The accounting sums doubles in call order, so the order of this loop
     // reaches the last bit of every result. That is why jobs_ stays a hash
-    // map rather than a vector indexed by job id: iterating live jobs in id
-    // order changes artifacts in the last ulp (the equivalence test pins the
-    // bits).
+    // map (owning the state, iterated here) beside the dense job_index_:
+    // iterating live jobs in id order changes artifacts in the last ulp (the
+    // equivalence test pins the bits).
     for (auto& [jid, rt] : jobs_) {
       if (rt.state == JobState::kComputing ||
           (rt.state == JobState::kCkptWaitNb && !rt.chunk_blocked)) {
@@ -861,7 +878,12 @@ class Runner {
   bool tiered_ = false;
   double bb_free_ = 0.0;  ///< free fast-tier capacity (bytes)
 
+  /// Owns every live job; its iteration order is the one finalize() needs.
   std::unordered_map<JobId, JobRt> jobs_;
+  /// Dense job-id → state index for the event path. unordered_map element
+  /// addresses survive rehashing, so the pointers stay valid until
+  /// forget_job() nulls them just before the erase.
+  std::vector<JobRt*> job_index_;
   std::vector<double> lineage_max_;  ///< per root: highest work position
   JobId next_job_id_ = 0;
   std::uint64_t req_serial_ = 0;

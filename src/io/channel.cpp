@@ -87,7 +87,6 @@ void SharedChannel::deactivate(std::uint32_t index) {
 }
 
 double SharedChannel::flow_rate(std::int64_t weight) const {
-  if (active_.empty()) return 0.0;
   switch (model_) {
     case InterferenceModel::kNone:
       return bandwidth_;
@@ -113,8 +112,7 @@ void SharedChannel::advance() {
     busy_accum_ += dt;
     for (const std::uint32_t index : active_) {
       Flow& flow = slots_[index];
-      flow.remaining =
-          std::max(0.0, flow.remaining - flow_rate(flow.weight) * dt);
+      flow.remaining = std::max(0.0, flow.remaining - flow.rate * dt);
     }
   }
   last_advance_ = now;
@@ -129,10 +127,10 @@ void SharedChannel::reschedule() {
   if (active_.empty()) return;
   double min_ttf = std::numeric_limits<double>::infinity();
   for (const std::uint32_t index : active_) {
-    const Flow& flow = slots_[index];
-    const double rate = flow_rate(flow.weight);
-    COOPCR_ASSERT(rate > 0.0, "active flow with zero rate");
-    min_ttf = std::min(min_ttf, std::max(0.0, flow.remaining) / rate);
+    Flow& flow = slots_[index];
+    flow.rate = flow_rate(flow.weight);
+    COOPCR_ASSERT(flow.rate > 0.0, "active flow with zero rate");
+    min_ttf = std::min(min_ttf, std::max(0.0, flow.remaining) / flow.rate);
   }
   // Remember every flow finishing at (or indistinguishably close to) the
   // event time: they complete *by construction* when the event fires, which
@@ -140,7 +138,7 @@ void SharedChannel::reschedule() {
   const double slack = 1e-9 * std::max(min_ttf, 1.0);
   for (const std::uint32_t index : active_) {
     const Flow& flow = slots_[index];
-    const double ttf = std::max(0.0, flow.remaining) / flow_rate(flow.weight);
+    const double ttf = std::max(0.0, flow.remaining) / flow.rate;
     if (ttf <= min_ttf + slack) {
       expected_done_.push_back(make_flow_id(index, flow.generation));
     }
@@ -180,7 +178,7 @@ bool SharedChannel::abort(FlowId id) {
 double SharedChannel::rate_of(FlowId id) const {
   const std::uint32_t index = live_slot(id);
   if (index == kNoSlot) return 0.0;
-  return flow_rate(slots_[index].weight);
+  return slots_[index].rate;
 }
 
 double SharedChannel::remaining_of(FlowId id) const {
@@ -189,13 +187,13 @@ double SharedChannel::remaining_of(FlowId id) const {
   const Flow& flow = slots_[index];
   // Advance analytically without mutating (const view).
   const double dt = engine_.now() - last_advance_;
-  return std::max(0.0, flow.remaining - flow_rate(flow.weight) * dt);
+  return std::max(0.0, flow.remaining - flow.rate * dt);
 }
 
 double SharedChannel::aggregate_rate() const {
   double sum = 0.0;
   for (const std::uint32_t index : active_) {
-    sum += flow_rate(slots_[index].weight);
+    sum += slots_[index].rate;
   }
   return sum;
 }

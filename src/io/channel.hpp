@@ -22,8 +22,10 @@
 // FlowIds; the active set is a contiguous admission-ordered index vector and
 // the total interference weight is a cached aggregate maintained
 // incrementally — admissions and completions touch no hash table and never
-// re-sum weights. Completion callbacks are move-only (sim::InlineFunction),
-// so per-request callback state is moved, never duplicated.
+// re-sum weights. Each flow caches its rate, recomputed once per membership
+// change, so advancing volumes and querying rates do no division. Completion
+// callbacks are move-only (sim::InlineFunction), so per-request callback
+// state is moved, never duplicated.
 
 #pragma once
 
@@ -102,6 +104,9 @@ class SharedChannel {
     double remaining = 0.0;
     double volume = 0.0;  ///< original request size (for transfer accounting)
     std::int64_t weight = 0;
+    /// flow_rate(weight), stored by reschedule(): the membership that
+    /// determines it only changes right before a reschedule().
+    double rate = 0.0;
     CompletionFn on_complete;
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNoSlot;
@@ -117,11 +122,12 @@ class SharedChannel {
 
   /// Advance all remaining volumes to the current engine time.
   void advance();
-  /// Recompute per-flow rates and (re)schedule the next completion event.
+  /// Recompute and cache per-flow rates and (re)schedule the next
+  /// completion event. Every change to the active set is followed by one.
   void reschedule();
   /// Completion event handler: finish every flow whose volume has drained.
   void on_completion_event();
-  /// Current per-flow rate for `weight` given the active set.
+  /// Per-flow rate for `weight` given the (non-empty) active set.
   double flow_rate(std::int64_t weight) const;
 
   sim::Engine& engine_;

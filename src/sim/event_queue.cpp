@@ -32,23 +32,18 @@ constexpr std::size_t kMaxBuckets = std::size_t{1} << 22;
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t index = free_head_;
-    Slot& slot = slot_at(index);
+    Slot& slot = slots_[index];
     free_head_ = slot.next_free;
     slot.next_free = kNoSlot;
     return index;
   }
-  COOPCR_CHECK(slot_count_ < kSlotMask, "event slab exhausted");
-  // Capacity after k chunks is kFirstChunk * (2^k - 1); grow geometrically.
-  if (slot_count_ ==
-      ((kFirstChunk << chunks_.size()) - kFirstChunk)) {
-    chunks_.push_back(
-        std::make_unique<Slot[]>(kFirstChunk << chunks_.size()));
-  }
-  return static_cast<std::uint32_t>(slot_count_++);
+  COOPCR_CHECK(slots_.size() < kSlotMask, "event slab exhausted");
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void EventQueue::release_slot(std::uint32_t index) {
-  Slot& slot = slot_at(index);
+  Slot& slot = slots_[index];
   slot.id = kInvalidEventId;  // invalidate outstanding handles/calendar keys
   slot.fn = nullptr;          // destroy the callback now, not at pop time
   slot.next_free = free_head_;
@@ -200,7 +195,7 @@ EventId EventQueue::schedule(Time t, EventFn fn) {
   const std::uint32_t index = acquire_slot();
   const EventId id =
       (next_seq_++ << kSlotBits) | static_cast<EventId>(index + 1);
-  Slot& slot = slot_at(index);
+  Slot& slot = slots_[index];
   slot.id = id;
   slot.fn = std::move(fn);
 
@@ -223,9 +218,9 @@ EventId EventQueue::schedule(Time t, EventFn fn) {
 
 bool EventQueue::cancel(EventId id) {
   const std::uint64_t slot_plus_one = id & kSlotMask;
-  if (slot_plus_one == 0 || slot_plus_one > slot_count_) return false;
+  if (slot_plus_one == 0 || slot_plus_one > slots_.size()) return false;
   const auto index = static_cast<std::uint32_t>(slot_plus_one - 1);
-  if (slot_at(index).id != id) return false;  // stale: fired/cancelled
+  if (slots_[index].id != id) return false;  // stale: fired/cancelled
   release_slot(index);
   COOPCR_ASSERT(live_count_ > 0, "live count underflow on cancel");
   --live_count_;
@@ -249,7 +244,7 @@ EventQueue::Fired EventQueue::pop() {
   const Key top = today_.back();
   today_.pop_back();
   const auto index = static_cast<std::uint32_t>((top.id & kSlotMask) - 1);
-  Slot& slot = slot_at(index);
+  Slot& slot = slots_[index];
   Fired fired{top.time, top.id, std::move(slot.fn)};
   release_slot(index);
   --live_count_;
@@ -260,19 +255,13 @@ EventQueue::Fired EventQueue::pop() {
 }
 
 void EventQueue::clear() {
-  // Keep the chunks (stable capacity) but reset every created slot; ids and
-  // slot allocation order restart exactly like a fresh queue.
-  for (std::size_t i = 0; i < slot_count_; ++i) {
-    Slot& slot = slot_at(i);
-    slot.id = kInvalidEventId;
-    slot.fn = nullptr;
-    slot.next_free = kNoSlot;
-  }
+  // Keep the slab's capacity; ids and slot allocation order restart
+  // exactly like a fresh queue.
+  slots_.clear();
   for (auto& bucket : buckets_) bucket.clear();
   bucket_count_ = 0;
   today_.clear();
   free_head_ = kNoSlot;
-  slot_count_ = 0;
   current_day_ = 0;
   width_ = 1.0;
   stale_count_ = 0;

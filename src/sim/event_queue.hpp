@@ -4,12 +4,13 @@
 //
 // Design (the hot path of every Monte Carlo replica):
 //
-//  * Event callbacks live in a free-listed, chunked slab of slots; an
-//    EventId packs a monotone scheduling sequence over the slab slot
-//    ((seq << 24) | slot+1), so handles resolve with two array reads — no
+//  * Event callbacks live in a free-listed slab of slots, one flat vector;
+//    an EventId packs a monotone scheduling sequence over the slab slot
+//    ((seq << 24) | slot+1), so handles resolve with one array read — no
 //    hash table anywhere — and stale handles (fired/cancelled events, whose
 //    slot now carries a different id) are rejected by a single comparison.
-//    Chunks never move, so growing the slab never relocates live callbacks.
+//    Growing the slab moves the live callbacks, which for the simulator's
+//    trivially copyable captures is a byte copy (sim/inline_fn.hpp).
 //
 //  * Pending (time, id) keys are ordered by a calendar queue (R. Brown,
 //    CACM 1988): a power-of-two array of day-width buckets addressed by
@@ -36,9 +37,7 @@
 
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/inline_fn.hpp"
@@ -106,7 +105,7 @@ class EventQueue {
 
   /// Slab/calendar introspection (tests, BENCH_engine.json): slots ever
   /// created and stale keys awaiting cleanup.
-  std::size_t slab_slots() const { return slot_count_; }
+  std::size_t slab_slots() const { return slots_.size(); }
   std::size_t stale_items() const { return stale_count_; }
 
  private:
@@ -115,14 +114,6 @@ class EventQueue {
   /// 40 bits of monotone scheduling sequence above them.
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
-  /// Slots are allocated in chunks that never move: growing the slab never
-  /// relocates live callbacks (vector reallocation would move every InlineFn
-  /// through its manager function — 20% of a schedule-heavy run). Chunk c
-  /// holds kFirstChunk << c slots, so a short-lived engine initialises 64
-  /// slots, not a laptop page-cache worth, while big queues still amortise.
-  static constexpr unsigned kFirstChunkShift = 6;
-  static constexpr std::size_t kFirstChunk = std::size_t{1}
-                                             << kFirstChunkShift;
 
   struct Slot {
     EventId id = kInvalidEventId;  ///< full id; kInvalidEventId when free
@@ -141,21 +132,8 @@ class EventQueue {
     }
   };
 
-  /// Geometric chunk addressing: slot s lives in chunk
-  /// c = bit_width((s >> 6) + 1) - 1 at offset s - (64 << c) + 64.
-  Slot& slot_at(std::size_t index) {
-    const std::size_t biased = (index >> kFirstChunkShift) + 1;
-    const unsigned c = std::bit_width(biased) - 1;
-    return chunks_[c][index - ((kFirstChunk << c) - kFirstChunk)];
-  }
-  const Slot& slot_at(std::size_t index) const {
-    const std::size_t biased = (index >> kFirstChunkShift) + 1;
-    const unsigned c = std::bit_width(biased) - 1;
-    return chunks_[c][index - ((kFirstChunk << c) - kFirstChunk)];
-  }
-
   bool is_live(const Key& key) const {
-    return slot_at((key.id & kSlotMask) - 1).id == key.id;
+    return slots_[(key.id & kSlotMask) - 1].id == key.id;
   }
 
   std::uint32_t acquire_slot();
@@ -176,8 +154,7 @@ class EventQueue {
   void insert_key(Key key) const;
 
   // --- slab ---
-  std::vector<std::unique_ptr<Slot[]>> chunks_;  ///< stable-address slab
-  std::size_t slot_count_ = 0;                   ///< slots ever created
+  std::vector<Slot> slots_;  ///< every slot ever created
   std::uint32_t free_head_ = kNoSlot;
 
   // --- calendar (mutable: refill() repositions lazily from const paths) ---

@@ -13,10 +13,18 @@
 // never duplicated, through SharedChannel / IoSubsystem plumbing. Callables
 // larger than `Capacity` (or with throwing moves) fall back to one heap box,
 // preserving drop-in compatibility for tests and user code.
+//
+// Relocation rule: an inline capture that is trivially copyable (every
+// engine, channel and IoSubsystem capture — `[this, jid, serial]` and the
+// like) has no manager at all. Moving the function copies its storage
+// bytes and destroying it does nothing, so containers of callbacks (the
+// event slab, the flow slab) grow by plain byte copies. Non-trivial inline
+// captures and boxed ones keep a manager that relocates and destroys them.
 
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -45,7 +53,7 @@ class InlineFunction<R(Args...), Capacity> {
                                    BoxedOps<Decayed>>;
     Ops::construct(storage_, std::forward<F>(fn));
     invoke_ = &Ops::invoke;
-    manage_ = &Ops::manage;
+    if constexpr (!relocates_bytewise<Decayed>()) manage_ = &Ops::manage;
   }
 
   InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
@@ -85,6 +93,13 @@ class InlineFunction<R(Args...), Capacity> {
     return sizeof(F) <= Capacity &&
            alignof(F) <= alignof(std::max_align_t) &&
            std::is_nothrow_move_constructible_v<F>;
+  }
+
+  /// Inline trivially copyable captures need no manager: their bytes are
+  /// the object, and destroying them is a no-op.
+  template <typename F>
+  static constexpr bool relocates_bytewise() {
+    return fits_inline<F>() && std::is_trivially_copyable_v<F>;
   }
 
   template <typename F>
@@ -127,17 +142,19 @@ class InlineFunction<R(Args...), Capacity> {
     manage_ = other.manage_;
     if (manage_ != nullptr) {
       manage_(Op::kRelocate, other.storage_, storage_);
-      other.invoke_ = nullptr;
       other.manage_ = nullptr;
+    } else if (invoke_ != nullptr) {
+      std::memcpy(storage_, other.storage_, Capacity);
     }
+    other.invoke_ = nullptr;
   }
 
   void destroy() noexcept {
     if (manage_ != nullptr) {
       manage_(Op::kDestroy, storage_, nullptr);
-      invoke_ = nullptr;
       manage_ = nullptr;
     }
+    invoke_ = nullptr;
   }
 
   alignas(std::max_align_t) unsigned char storage_[Capacity];

@@ -259,7 +259,9 @@ TEST(MonteCarlo, SnapshotExtendLoopIsBitIdenticalToFixedCount) {
   for (std::size_t i = 0; i < gs.size(); ++i) {
     EXPECT_EQ(gs[i], rs[i]) << "replica " << i;
     // The snapshot saw the same prefix.
-    if (i < 4) EXPECT_EQ(snap.outcomes[0].waste_ratio.samples()[i], gs[i]);
+    if (i < 4) {
+      EXPECT_EQ(snap.outcomes[0].waste_ratio.samples()[i], gs[i]);
+    }
   }
 }
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/daly.hpp"
 #include "util/units.hpp"
@@ -487,6 +490,75 @@ TEST(Simulation, UtilizationReflectsAllocation) {
   auto cfg = toy_config(cls, obl_daly(), /*segment_end=*/200.0);
   const auto result = simulate(cfg, {job_of(cls, 0, 100.0)}, {});
   EXPECT_NEAR(result.avg_utilization, 0.25, 1e-9);
+}
+
+void expect_same_bits(double actual, double expected, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+            std::bit_cast<std::uint64_t>(expected))
+      << what << ": " << actual << " != " << expected;
+}
+
+void expect_identical(const SimulationResult& a, const SimulationResult& b) {
+  const SimulationCounters& x = a.counters;
+  const SimulationCounters& y = b.counters;
+  EXPECT_EQ(x.failures_total, y.failures_total);
+  EXPECT_EQ(x.failures_on_jobs, y.failures_on_jobs);
+  EXPECT_EQ(x.checkpoint_requests, y.checkpoint_requests);
+  EXPECT_EQ(x.checkpoints_completed, y.checkpoints_completed);
+  EXPECT_EQ(x.checkpoints_aborted, y.checkpoints_aborted);
+  EXPECT_EQ(x.checkpoints_cancelled, y.checkpoints_cancelled);
+  EXPECT_EQ(x.jobs_started, y.jobs_started);
+  EXPECT_EQ(x.jobs_completed, y.jobs_completed);
+  EXPECT_EQ(x.restarts_submitted, y.restarts_submitted);
+  EXPECT_EQ(x.io_requests, y.io_requests);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.events_scheduled, b.events_scheduled);
+  expect_same_bits(a.useful, b.useful, "useful");
+  expect_same_bits(a.wasted, b.wasted, "wasted");
+  expect_same_bits(a.avg_utilization, b.avg_utilization, "utilization");
+  expect_same_bits(a.energy.total(), b.energy.total(), "energy");
+  for (int c = 0; c < static_cast<int>(TimeCategory::kCount); ++c) {
+    const auto category = static_cast<TimeCategory>(c);
+    expect_same_bits(a.accounting.total(category),
+                     b.accounting.total(category), "category");
+  }
+}
+
+TEST(Simulation, SparseJobIdsRunIdenticallyOnFreshAndReusedWorkspaces) {
+  // Job ids are arbitrary non-negative integers and restarts take ids above
+  // the largest one, so the runner's dense job index must grow on demand.
+  // Eight one-node jobs live at once also make the owning hash map rehash
+  // while the index points into it.
+  const auto cls = toy_class(1, 400.0, 200.0, 60.0, /*input=*/50.0,
+                             /*output=*/50.0, /*routine=*/100.0);
+  const std::vector<JobId> ids = {7, 500, 4096, 9, 12000, 31, 77, 2048};
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    jobs.push_back(job_of(cls, ids[i], 400.0 + 10.0 * static_cast<double>(i)));
+  }
+  std::vector<Failure> failures;
+  for (int k = 1; k <= 40; ++k) {
+    failures.push_back({7.5 * k + 3.0, static_cast<std::int64_t>(k % 10)});
+  }
+  const std::vector<Job> dense = {job_of(cls, 0, 100.0),
+                                  job_of(cls, 1, 120.0)};
+  for (const StrategySpec* strategy : {&obl_daly(), &ord_daly(), &nb_daly(),
+                                       &lw()}) {
+    SCOPED_TRACE(strategy->name());
+    const auto cfg = toy_config(cls, *strategy, /*segment_end=*/1e5);
+    const auto fresh = simulate(cfg, jobs, failures);
+    EXPECT_EQ(fresh.counters.jobs_completed, jobs.size());
+    EXPECT_GT(fresh.counters.restarts_submitted, 0u);
+    EXPECT_EQ(fresh.counters.jobs_started,
+              jobs.size() + fresh.counters.restarts_submitted);
+
+    SimWorkspace workspace;
+    simulate(cfg, dense, failures, workspace);  // warm on other ids first
+    const auto reused = simulate(cfg, jobs, failures, workspace);
+    const auto again = simulate(cfg, jobs, failures, workspace);
+    expect_identical(reused, fresh);
+    expect_identical(again, fresh);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 // Unit tests for the processor-sharing channel: exact transfer times under
 // the linear interference model (paper §2/§3.1 worked example), baseline
-// no-interference mode, the adversarial degradation model, and aborts.
+// no-interference mode, the adversarial degradation model, and aborts, plus
+// a differential check of the cached per-flow rates against a from-scratch
+// reference.
 
 #include "io/channel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -179,6 +184,172 @@ TEST(Channel, RejectsInvalidArguments) {
   EXPECT_THROW(channel.start(-1.0, 1, [](FlowId) {}), Error);
   EXPECT_THROW(channel.start(1.0, 0, [](FlowId) {}), Error);
   EXPECT_THROW(channel.start(1.0, 1, SharedChannel::CompletionFn{}), Error);
+}
+
+/// From-scratch model of the channel: recomputes every flow's rate from the
+/// current active set on each query and advances volumes in the same
+/// floating-point steps as the channel does.
+class ReferenceChannel {
+ public:
+  ReferenceChannel(double bandwidth, InterferenceModel model, double alpha)
+      : bandwidth_(bandwidth), model_(model), alpha_(alpha) {}
+
+  struct Flow {
+    FlowId id;
+    std::int64_t weight;
+    double remaining;
+  };
+
+  double rate(std::int64_t weight) const {
+    std::int64_t total = 0;
+    for (const Flow& flow : flows_) total += flow.weight;
+    const auto tw = static_cast<double>(total);
+    switch (model_) {
+      case InterferenceModel::kNone:
+        return bandwidth_;
+      case InterferenceModel::kLinear:
+        return bandwidth_ * static_cast<double>(weight) / tw;
+      case InterferenceModel::kDegrading: {
+        const auto k = static_cast<double>(flows_.size());
+        const double effective = bandwidth_ / (1.0 + alpha_ * (k - 1.0));
+        return effective * static_cast<double>(weight) / tw;
+      }
+    }
+    return 0.0;
+  }
+
+  void advance(double now) {
+    const double dt = now - last_;
+    if (dt > 0.0) {
+      for (Flow& flow : flows_) {
+        flow.remaining =
+            std::max(0.0, flow.remaining - rate(flow.weight) * dt);
+      }
+    }
+    last_ = now;
+  }
+
+  void add(FlowId id, std::int64_t weight, double volume) {
+    flows_.push_back(Flow{id, weight, volume});
+  }
+
+  void remove(FlowId id) {
+    flows_.erase(std::find_if(flows_.begin(), flows_.end(),
+                              [id](const Flow& f) { return f.id == id; }));
+  }
+
+  /// Absolute time of the next completion event; kTimeNever when idle.
+  double next_completion(double now) const {
+    if (flows_.empty()) return sim::kTimeNever;
+    double min_ttf = std::numeric_limits<double>::infinity();
+    for (const Flow& flow : flows_) {
+      min_ttf = std::min(min_ttf,
+                         std::max(0.0, flow.remaining) / rate(flow.weight));
+    }
+    return now + min_ttf;
+  }
+
+  const std::vector<Flow>& flows() const { return flows_; }
+
+ private:
+  double bandwidth_;
+  InterferenceModel model_;
+  double alpha_;
+  std::vector<Flow> flows_;
+  double last_ = 0.0;
+};
+
+void run_cached_rate_differential(InterferenceModel model,
+                                  std::uint64_t seed) {
+  constexpr double kBandwidth = 7.3e9;
+  constexpr double kAlpha = 0.37;
+  sim::Engine engine;
+  SharedChannel channel(engine, kBandwidth, model, kAlpha);
+  ReferenceChannel reference(kBandwidth, model, kAlpha);
+  std::uint64_t x = seed;
+  auto next = [&x] {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return x >> 11;
+  };
+  auto uniform = [&next] {
+    return static_cast<double>(next()) / static_cast<double>(1ull << 53);
+  };
+  std::size_t completions = 0;
+  auto on_complete = [&](FlowId id) {
+    reference.advance(engine.now());
+    reference.remove(id);
+    ++completions;
+  };
+
+  auto check = [&](int step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    ASSERT_EQ(channel.active(), reference.flows().size());
+    double aggregate = 0.0;
+    for (const auto& flow : reference.flows()) {
+      const double rate = reference.rate(flow.weight);
+      aggregate += rate;
+      EXPECT_EQ(channel.rate_of(flow.id), rate);
+      EXPECT_EQ(channel.remaining_of(flow.id), flow.remaining);
+    }
+    EXPECT_EQ(channel.aggregate_rate(), aggregate);
+    EXPECT_EQ(engine.next_event_time(),
+              reference.next_completion(engine.now()));
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    const auto op = next() % 100;
+    if (op < 35 && !reference.flows().empty()) {
+      // Let the channel fire its next completion event.
+      engine.run_steps(1);
+    } else {
+      // Start or abort strictly before the next completion.
+      const double horizon = reference.next_completion(engine.now());
+      const double gap = horizon == sim::kTimeNever
+                             ? 1.0 + 10.0 * uniform()
+                             : (0.05 + 0.9 * uniform()) *
+                                   (horizon - engine.now());
+      const bool abort = op < 60;
+      const std::uint64_t pick = next();
+      const auto weight = static_cast<std::int64_t>(1 + next() % 4096);
+      const double volume = 1e6 + 1e12 * uniform();
+      bool done = false;
+      engine.at(engine.now() + gap, [&] {
+        reference.advance(engine.now());
+        const auto& flows = reference.flows();
+        if (abort && !flows.empty()) {
+          const FlowId id = flows[pick % flows.size()].id;
+          EXPECT_TRUE(channel.abort(id));
+          reference.remove(id);
+          EXPECT_FALSE(channel.abort(id));  // now a stale handle
+        } else {
+          const FlowId id = channel.start(volume, weight, on_complete);
+          reference.add(id, weight, volume);
+        }
+        done = true;
+      });
+      while (!done) engine.run_steps(1);
+    }
+    check(step);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  engine.run();
+  check(-1);
+  EXPECT_EQ(channel.active(), 0u);
+  EXPECT_GT(completions, 50u);
+}
+
+TEST(Channel, CachedRatesMatchFromScratchLinear) {
+  run_cached_rate_differential(InterferenceModel::kLinear, 11);
+  run_cached_rate_differential(InterferenceModel::kLinear, 12);
+}
+
+TEST(Channel, CachedRatesMatchFromScratchNone) {
+  run_cached_rate_differential(InterferenceModel::kNone, 21);
+}
+
+TEST(Channel, CachedRatesMatchFromScratchDegrading) {
+  run_cached_rate_differential(InterferenceModel::kDegrading, 31);
+  run_cached_rate_differential(InterferenceModel::kDegrading, 32);
 }
 
 }  // namespace

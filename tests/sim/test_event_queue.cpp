@@ -1,10 +1,11 @@
 // Unit tests for the cancellable event queue: ordering, cancellation,
-// determinism.
+// determinism, and callbacks surviving slab growth.
 
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -269,6 +270,70 @@ TEST(EventQueue, ManyEventsStressOrdering) {
     EXPECT_GE(fired.time, last);
     last = fired.time;
   }
+}
+
+TEST(EventQueue, SlabGrowthKeepsEveryLiveCallback) {
+  // >= 10^5 pending events force many reallocations of the slot vector while
+  // callbacks are stored in it; interleaved cancels recycle slots meanwhile.
+  // Every live event must pop exactly once, in strict (time, id) order, and
+  // callbacks with managed captures must be neither leaked nor duplicated.
+  constexpr int kEvents = 130000;
+  EventQueue q;
+  std::vector<int> fired(kEvents, 0);
+  std::vector<EventId> ids(kEvents, kInvalidEventId);
+  std::vector<bool> cancelled(kEvents, false);
+  auto probe = std::make_shared<int>(0);
+  std::uint64_t x = 99;
+  int live = 0;
+  for (int i = 0; i < kEvents; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    // Coarse times: many exact ties, broken by id.
+    const double t = static_cast<double>(x >> 50);
+    int* slot = &fired[static_cast<std::size_t>(i)];
+    if (i % 10 == 0) {
+      ids[static_cast<std::size_t>(i)] =
+          q.schedule(t, [slot, probe] { ++*slot; });
+    } else {
+      ids[static_cast<std::size_t>(i)] = q.schedule(t, [slot] { ++*slot; });
+    }
+    ++live;
+    if (i % 5 == 4) {
+      const auto victim = static_cast<std::size_t>(i / 2);
+      if (!cancelled[victim]) {
+        EXPECT_TRUE(q.cancel(ids[victim]));
+        cancelled[victim] = true;
+        --live;
+      }
+    }
+  }
+  ASSERT_GE(q.size(), 100000u);
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(live));
+  EXPECT_LT(q.slab_slots(), static_cast<std::size_t>(kEvents));
+  long managed = 0;  // live events whose callback holds `probe`
+  for (int i = 0; i < kEvents; i += 10) {
+    if (!cancelled[static_cast<std::size_t>(i)]) ++managed;
+  }
+  EXPECT_EQ(probe.use_count(), managed + 1);
+
+  double last_time = -1.0;
+  EventId last_id = kInvalidEventId;
+  int popped = 0;
+  while (!q.empty()) {
+    auto event = q.pop();
+    const bool ordered = event.time > last_time ||
+                         (event.time == last_time && event.id > last_id);
+    ASSERT_TRUE(ordered) << "pop " << popped << " out of (time, id) order";
+    last_time = event.time;
+    last_id = event.id;
+    event.fn();
+    ++popped;
+  }
+  EXPECT_EQ(popped, live);
+  for (int i = 0; i < kEvents; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    ASSERT_EQ(fired[k], cancelled[k] ? 0 : 1) << "event " << i;
+  }
+  EXPECT_EQ(probe.use_count(), 1);
 }
 
 }  // namespace
