@@ -14,6 +14,23 @@ namespace {
 
 using namespace coopcr;
 
+/// Counts channel and request notifications; the cheapest possible sink,
+/// so the channel and subsystem benchmarks time the substrate alone.
+class CountingSink final : public FlowSink, public RequestSink {
+ public:
+  std::uint64_t flows_done = 0;
+  std::uint64_t requests_started = 0;
+  std::uint64_t requests_completed = 0;
+
+  void on_flow_done(std::uint64_t /*tag*/) override { ++flows_done; }
+  void on_request_start(std::uint64_t /*tag*/, RequestId /*id*/) override {
+    ++requests_started;
+  }
+  void on_request_complete(std::uint64_t /*tag*/, RequestId /*id*/) override {
+    ++requests_completed;
+  }
+};
+
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
@@ -96,14 +113,14 @@ void BM_ChannelProcessorSharing(benchmark::State& state) {
   const auto flows = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Engine engine;
-    SharedChannel channel(engine, units::gb_per_s(100));
-    int completed = 0;
+    CountingSink sink;
+    SharedChannel channel(engine, &sink, units::gb_per_s(100));
     for (int i = 0; i < flows; ++i) {
       channel.start(units::gigabytes(1 + i % 7), 16 + i % 64,
-                    [&completed](FlowId) { ++completed; });
+                    static_cast<std::uint64_t>(i));
     }
     engine.run();
-    benchmark::DoNotOptimize(completed);
+    benchmark::DoNotOptimize(sink.flows_done);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flows) *
                           state.iterations());
@@ -112,30 +129,29 @@ BENCHMARK(BM_ChannelProcessorSharing)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_IoSubsystemSerialChurn(benchmark::State& state) {
   // Token-queue pressure: `depth` requests outstanding, FCFS-granted one at
-  // a time, each completion submitting a replacement — slab record reuse,
-  // move-only callbacks and the pending-queue pump in one loop.
+  // a time, one replacement submitted per completion — slab record reuse,
+  // tagged notifications and the pending-queue pump in one loop.
   const auto depth = static_cast<int>(state.range(0));
   sim::Engine engine;
-  IoSubsystem io(engine, units::gb_per_s(100), AdmissionMode::kSerial,
+  CountingSink sink;
+  IoSubsystem io(engine, &sink, units::gb_per_s(100), AdmissionMode::kSerial,
                  InterferenceModel::kLinear, 0.0,
                  std::make_unique<FcfsPolicy>());
-  std::uint64_t completed = 0;
   IoRequest req;
   req.kind = IoKind::kCheckpoint;
   req.volume = units::gigabytes(2);
   req.nodes = 128;
+  std::uint64_t tag = 0;
   for (int i = 0; i < depth; ++i) {
-    io.submit(req, RequestCallbacks{});
+    io.submit(req, tag++);
   }
   for (auto _ : state) {
     for (int i = 0; i < 256; ++i) {
-      RequestCallbacks cb;
-      cb.on_complete = [&completed](RequestId) { ++completed; };
-      io.submit(req, std::move(cb));
+      io.submit(req, tag++);
       engine.run_steps(1);  // one completion event -> one grant
     }
   }
-  benchmark::DoNotOptimize(completed);
+  benchmark::DoNotOptimize(sink.requests_completed);
   state.SetItemsProcessed(256 * state.iterations());
 }
 BENCHMARK(BM_IoSubsystemSerialChurn)->Arg(4)->Arg(32);

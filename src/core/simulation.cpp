@@ -48,8 +48,11 @@ enum class JobState {
   kOutputIo,      ///< blocking final output
 };
 
-/// The orchestrator. One instance per run; not reusable.
-class Runner {
+/// The orchestrator. One instance per run; not reusable. It is the
+/// RequestSink of both I/O subsystems: every request is tagged with the
+/// submitting job and the request's serial (make_tag), so notifications need
+/// no per-request callable.
+class Runner final : private RequestSink {
  public:
   Runner(const SimulationConfig& config, const std::vector<Job>& jobs,
          const std::vector<Failure>& failures, detail::SimWorkspaceImpl& ws)
@@ -62,12 +65,13 @@ class Runner {
     cfg_.platform.validate();
     stop_time_ = std::min(cfg_.horizon, cfg_.segment_end);
     engine_.reset();
+    RequestSink* const sink = this;  // the workspace's subsystems report here
     if (ws.io) {
-      ws.io->reset(cfg_.platform.pfs_bandwidth, admission_mode(),
+      ws.io->reset(sink, cfg_.platform.pfs_bandwidth, admission_mode(),
                    cfg_.interference, cfg_.degradation_alpha, make_policy());
     } else {
       ws.io = std::make_unique<IoSubsystem>(
-          engine_, cfg_.platform.pfs_bandwidth, admission_mode(),
+          engine_, sink, cfg_.platform.pfs_bandwidth, admission_mode(),
           cfg_.interference, cfg_.degradation_alpha, make_policy());
     }
     io_ = ws.io.get();
@@ -78,13 +82,13 @@ class Runner {
     tiered_ = cfg_.strategy.commit().tiered() && cfg_.burst_buffer.usable();
     if (tiered_) {
       if (ws.bb_io) {
-        ws.bb_io->reset(cfg_.burst_buffer.bandwidth,
+        ws.bb_io->reset(sink, cfg_.burst_buffer.bandwidth,
                         AdmissionMode::kConcurrent, InterferenceModel::kLinear,
                         /*degradation_alpha=*/0.0, /*policy=*/nullptr);
       } else {
         ws.bb_io = std::make_unique<IoSubsystem>(
-            engine_, cfg_.burst_buffer.bandwidth, AdmissionMode::kConcurrent,
-            InterferenceModel::kLinear);
+            engine_, sink, cfg_.burst_buffer.bandwidth,
+            AdmissionMode::kConcurrent, InterferenceModel::kLinear);
       }
       bb_io_ = ws.bb_io.get();
       bb_free_ = cfg_.burst_buffer.capacity;
@@ -213,6 +217,31 @@ class Runner {
   double request_delay(const JobRt& rt) const {
     return cfg_.strategy.offset().request_delay(period_of(rt),
                                                 rt.cls->checkpoint_seconds);
+  }
+
+  // --- request tags ----------------------------------------------------------
+
+  /// Tag layout: bit 63 marks a drain, bits 32..62 hold the job id and bits
+  /// 0..31 the request serial (0 for drains, which have none).
+  static constexpr unsigned kSerialBits = 32;
+  static constexpr std::uint64_t kSerialMask = (1ull << kSerialBits) - 1;
+  static constexpr std::uint64_t kDrainBit = 1ull << 63;
+
+  static std::uint64_t make_tag(JobId jid, std::uint64_t serial, bool drain) {
+    COOPCR_CHECK(static_cast<std::uint64_t>(jid) < (kDrainBit >> kSerialBits),
+                 "job id does not fit a request tag");
+    COOPCR_CHECK(serial <= kSerialMask, "request serial overflows its tag");
+    return (drain ? kDrainBit : 0) |
+           (static_cast<std::uint64_t>(jid) << kSerialBits) | serial;
+  }
+  static JobId tag_job(std::uint64_t tag) {
+    return static_cast<JobId>((tag & ~kDrainBit) >> kSerialBits);
+  }
+  static std::uint64_t tag_serial(std::uint64_t tag) {
+    return tag & kSerialMask;
+  }
+  static bool tag_is_drain(std::uint64_t tag) {
+    return (tag & kDrainBit) != 0;
   }
 
   int routine_chunks(const JobRt& rt) const {
@@ -374,20 +403,13 @@ class Runner {
     request.volume = volume;
     request.nodes = rt.job.nodes;
     const JobId jid = rt.job.id;
-    RequestCallbacks callbacks;
-    callbacks.on_start = [this, jid, serial](RequestId id) {
-      on_request_start(jid, serial, id);
-    };
-    callbacks.on_complete = [this, jid, serial](RequestId id) {
-      on_request_complete(jid, serial, id);
-    };
-    // submit() may invoke on_start — and through it arbitrary state
+    // submit() may notify on_request_start — and through it arbitrary state
     // transitions — synchronously. Only adopt the id if this request is
     // still the job's live one afterwards.
     IoSubsystem& target = bb ? *bb_io_ : *io_;
-    const RequestId id = target.submit(request, std::move(callbacks),
-                                       rt.last_ckpt_end,
-                                       rt.cls->recovery_seconds);
+    const RequestId id =
+        target.submit(request, make_tag(jid, serial, /*drain=*/false),
+                      rt.last_ckpt_end, rt.cls->recovery_seconds);
     JobRt* live = find_job(jid);
     if (live != nullptr && live->req.serial == serial &&
         live->req.id == kInvalidRequest) {
@@ -395,7 +417,17 @@ class Runner {
     }
   }
 
-  void on_request_start(JobId jid, std::uint64_t serial, RequestId id) {
+  // RequestSink: decode the tag; drains take their own path.
+  void on_request_start(std::uint64_t tag, RequestId id) override {
+    const JobId jid = tag_job(tag);
+    if (tag_is_drain(tag)) {
+      if (const JobRt* live = find_job(jid)) {
+        tr(jid, TraceKind::kIoStart, IoKind::kDrain,
+           live->job.checkpoint_bytes);
+      }
+      return;
+    }
+    const std::uint64_t serial = tag_serial(tag);
     JobRt* live = find_job(jid);
     if (live == nullptr) return;
     JobRt& rt = *live;
@@ -443,8 +475,13 @@ class Runner {
     rt.state = JobState::kCheckpointing;
   }
 
-  void on_request_complete(JobId jid, std::uint64_t serial,
-                           RequestId /*id*/) {
+  void on_request_complete(std::uint64_t tag, RequestId id) override {
+    const JobId jid = tag_job(tag);
+    if (tag_is_drain(tag)) {
+      on_drain_complete(jid, id);
+      return;
+    }
+    const std::uint64_t serial = tag_serial(tag);
     JobRt* live = find_job(jid);
     if (live == nullptr) return;
     JobRt& rt = *live;
@@ -660,20 +697,9 @@ class Runner {
     request.kind = IoKind::kDrain;
     request.volume = rt.job.checkpoint_bytes;
     request.nodes = rt.job.nodes;
-    const JobId jid = rt.job.id;
-    RequestCallbacks callbacks;
-    callbacks.on_start = [this, jid](RequestId) {
-      if (const JobRt* live = find_job(jid)) {
-        tr(jid, TraceKind::kIoStart, IoKind::kDrain,
-           live->job.checkpoint_bytes);
-      }
-    };
-    callbacks.on_complete = [this, jid](RequestId id) {
-      on_drain_complete(jid, id);
-    };
     const RequestId id =
-        io_->submit(request, std::move(callbacks), rt.last_drained_end,
-                    rt.cls->recovery_seconds);
+        io_->submit(request, make_tag(rt.job.id, 0, /*drain=*/true),
+                    rt.last_drained_end, rt.cls->recovery_seconds);
     rt.drains.push_back(DrainRec{id, rt.job.checkpoint_bytes, rt.absorb_pos});
   }
 
@@ -816,7 +842,7 @@ class Runner {
   // --- job table ---------------------------------------------------------------
 
   /// Live runtime state of a started job, or nullptr once it completed or
-  /// was killed (its callbacks may still be in flight).
+  /// was killed (its timers and notifications may still be in flight).
   JobRt* find_job(JobId jid) const {
     const auto slot = static_cast<std::size_t>(jid);
     return slot < job_index_.size() ? job_index_[slot] : nullptr;

@@ -22,9 +22,15 @@ FlowId make_flow_id(std::uint32_t slot, std::uint32_t generation) {
 }
 }  // namespace
 
-SharedChannel::SharedChannel(sim::Engine& engine, double bandwidth,
-                             InterferenceModel model, double alpha)
-    : engine_(engine), bandwidth_(bandwidth), model_(model), alpha_(alpha) {
+SharedChannel::SharedChannel(sim::Engine& engine, FlowSink* sink,
+                             double bandwidth, InterferenceModel model,
+                             double alpha)
+    : engine_(engine),
+      sink_(sink),
+      bandwidth_(bandwidth),
+      model_(model),
+      alpha_(alpha) {
+  COOPCR_CHECK(sink_ != nullptr, "channel needs a flow sink");
   COOPCR_CHECK(bandwidth_ > 0.0, "channel bandwidth must be positive");
   COOPCR_CHECK(alpha_ >= 0.0, "degradation alpha must be non-negative");
   last_advance_ = engine_.now();
@@ -63,7 +69,6 @@ std::uint32_t SharedChannel::acquire_slot() {
 
 void SharedChannel::release_slot(std::uint32_t index) {
   Flow& flow = slots_[index];
-  flow.on_complete = nullptr;
   ++flow.generation;  // invalidate every outstanding handle
   flow.next_free = free_head_;
   free_head_ = index;
@@ -83,7 +88,7 @@ void SharedChannel::deactivate(std::uint32_t index) {
   const auto it = std::find(active_.begin(), active_.end(), index);
   COOPCR_ASSERT(it != active_.end(), "deactivating an inactive flow");
   total_weight_ -= slots_[index].weight;
-  active_.erase(it);  // order-preserving: callbacks fire in admission order
+  active_.erase(it);  // order-preserving: completions in admission order
 }
 
 double SharedChannel::flow_rate(std::int64_t weight) const {
@@ -147,18 +152,16 @@ void SharedChannel::reschedule() {
 }
 
 FlowId SharedChannel::start(double volume, std::int64_t weight,
-                            CompletionFn on_complete) {
+                            std::uint64_t tag) {
   COOPCR_CHECK(volume >= 0.0, "flow volume must be non-negative");
   COOPCR_CHECK(weight > 0, "flow weight must be positive");
-  COOPCR_CHECK(static_cast<bool>(on_complete),
-               "flow needs a completion callback");
   advance();
   const std::uint32_t index = acquire_slot();
   Flow& flow = slots_[index];
   flow.remaining = volume;
   flow.volume = volume;
   flow.weight = weight;
-  flow.on_complete = std::move(on_complete);
+  flow.tag = tag;
   active_.push_back(index);
   total_weight_ += weight;
   reschedule();
@@ -207,26 +210,25 @@ double SharedChannel::busy_time() const {
 void SharedChannel::on_completion_event() {
   pending_event_ = sim::kInvalidEventId;
   advance();
-  // Collect every drained flow first, then mutate, then notify: completion
-  // callbacks may start new flows on this very channel (serial token pump).
-  // The flows this event was scheduled for complete by construction; any
-  // other flow whose residue drained to (near) zero joins them. Collection
-  // walks the admission-ordered active list, so simultaneous completions
-  // fire their callbacks in admission order — deterministically.
+  // Collect every drained flow first, then mutate, then notify: the sink
+  // may start new flows on this very channel (serial token pump). The flows
+  // this event was scheduled for complete by construction; any other flow
+  // whose residue drained to (near) zero joins them. Collection walks the
+  // admission-ordered active list, so simultaneous completions are reported
+  // in admission order — deterministically.
   finished_.clear();
   for (const FlowId id : expected_done_) {
     const std::uint32_t index = live_slot(id);
     if (index == kNoSlot) continue;  // aborted meanwhile
     Flow& flow = slots_[index];
-    finished_.emplace_back(id, std::move(flow.on_complete));
+    finished_.emplace_back(id, flow.tag);
     bytes_done_ += flow.volume;
     flow.remaining = 0.0;
   }
   for (const std::uint32_t index : active_) {
     Flow& flow = slots_[index];
     if (flow.remaining > 0.0 && flow.remaining <= kByteEpsilon) {
-      finished_.emplace_back(make_flow_id(index, flow.generation),
-                             std::move(flow.on_complete));
+      finished_.emplace_back(make_flow_id(index, flow.generation), flow.tag);
       bytes_done_ += flow.volume;
       flow.remaining = 0.0;
     }
@@ -235,17 +237,15 @@ void SharedChannel::on_completion_event() {
   // abort/start changed rates after this event was scheduled — reschedule()
   // cancels the stale event in those paths, so something drained here.
   COOPCR_ASSERT(!finished_.empty(), "completion event with no drained flow");
-  for (const auto& [id, fn] : finished_) {
+  for (const auto& [id, tag] : finished_) {
     const std::uint32_t index = live_slot(id);
     COOPCR_ASSERT(index != kNoSlot, "finished flow vanished");
     deactivate(index);
     release_slot(index);
   }
   reschedule();
-  for (auto& [id, fn] : finished_) fn(id);
-  // Destroy the fired callbacks now: the scratch vector keeps its capacity,
-  // but captured state must not outlive the completion it belonged to.
-  finished_.clear();
+  // The sink may start flows (growing the slab) but never touches finished_.
+  for (const auto& [id, tag] : finished_) sink_->on_flow_done(tag);
 }
 
 }  // namespace coopcr

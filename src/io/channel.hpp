@@ -23,9 +23,12 @@
 // the total interference weight is a cached aggregate maintained
 // incrementally — admissions and completions touch no hash table and never
 // re-sum weights. Each flow caches its rate, recomputed once per membership
-// change, so advancing volumes and querying rates do no division. Completion
-// callbacks are move-only (sim::InlineFunction), so per-request callback
-// state is moved, never duplicated.
+// change, so advancing volumes and querying rates do no division.
+//
+// Notification: each flow carries a caller-chosen 64-bit tag, and a finished
+// flow is reported as `FlowSink::on_flow_done(tag)` to the one sink the
+// channel was built with; the IoSubsystem in front of the channel is its
+// sink in the simulator.
 
 #pragma once
 
@@ -34,7 +37,6 @@
 
 #include "io/request.hpp"
 #include "sim/engine.hpp"
-#include "sim/inline_fn.hpp"
 
 namespace coopcr {
 
@@ -49,31 +51,41 @@ enum class InterferenceModel {
 using FlowId = std::uint64_t;
 inline constexpr FlowId kInvalidFlow = 0;
 
+/// Receiver of a channel's completion notifications.
+class FlowSink {
+ public:
+  /// The last byte of the flow started with `tag` was transferred. Runs
+  /// after the channel's state is consistent; may start or abort flows on
+  /// the notifying channel.
+  virtual void on_flow_done(std::uint64_t tag) = 0;
+
+ protected:
+  ~FlowSink() = default;
+};
+
 /// Processor-sharing bandwidth channel.
 class SharedChannel {
  public:
-  /// Called when a flow's last byte is transferred. Move-only; captures up
-  /// to the inline capacity are stored without allocation.
-  using CompletionFn = sim::InlineFunction<void(FlowId), 48>;
-
-  /// `bandwidth` — aggregated bytes/s; `alpha` — degradation coefficient for
-  /// kDegrading (ignored otherwise).
-  SharedChannel(sim::Engine& engine, double bandwidth,
+  /// `sink` — receives every completion (required; must outlive the
+  /// channel's runs); `bandwidth` — aggregated bytes/s; `alpha` —
+  /// degradation coefficient for kDegrading (ignored otherwise).
+  SharedChannel(sim::Engine& engine, FlowSink* sink, double bandwidth,
                 InterferenceModel model = InterferenceModel::kLinear,
                 double alpha = 0.0);
 
-  /// Re-arm for a new run with fresh parameters, keeping slab capacity. The
-  /// engine must already be reset; behaves bit-identically to constructing a
-  /// fresh channel.
+  /// Re-arm for a new run with fresh parameters, keeping slab capacity and
+  /// the sink. The engine must already be reset; behaves bit-identically to
+  /// constructing a fresh channel.
   void reset(double bandwidth, InterferenceModel model, double alpha);
 
   /// Admit a flow transferring `volume` bytes with interference weight
-  /// `weight` (the job's node count). Zero-volume flows complete at the next
-  /// event dispatch (still asynchronously). Returns the flow handle.
-  FlowId start(double volume, std::int64_t weight, CompletionFn on_complete);
+  /// `weight` (the job's node count); its completion is reported to the
+  /// sink with `tag`. Zero-volume flows complete at the next event dispatch
+  /// (still asynchronously). Returns the flow handle.
+  FlowId start(double volume, std::int64_t weight, std::uint64_t tag);
 
-  /// Abort an active flow (failure killed the job). No completion callback
-  /// fires. Returns false if the flow is unknown (already completed).
+  /// Abort an active flow (failure killed the job). No completion is
+  /// reported. Returns false if the flow is unknown (already completed).
   bool abort(FlowId id);
 
   /// Number of currently active flows.
@@ -107,7 +119,7 @@ class SharedChannel {
     /// flow_rate(weight), stored by reschedule(): the membership that
     /// determines it only changes right before a reschedule().
     double rate = 0.0;
-    CompletionFn on_complete;
+    std::uint64_t tag = 0;  ///< reported to the sink on completion
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNoSlot;
   };
@@ -117,7 +129,7 @@ class SharedChannel {
   /// Slab index of a live flow, or kNoSlot for stale/unknown handles.
   std::uint32_t live_slot(FlowId id) const;
   /// Remove a slot from the admission-ordered active list (order preserved —
-  /// completion callbacks fire in admission order, deterministically).
+  /// completions are reported in admission order, deterministically).
   void deactivate(std::uint32_t index);
 
   /// Advance all remaining volumes to the current engine time.
@@ -131,6 +143,7 @@ class SharedChannel {
   double flow_rate(std::int64_t weight) const;
 
   sim::Engine& engine_;
+  FlowSink* sink_;
   double bandwidth_;
   InterferenceModel model_;
   double alpha_;
@@ -143,9 +156,10 @@ class SharedChannel {
   /// at that instant by construction, regardless of accumulated double
   /// rounding in remaining-volume updates.
   std::vector<FlowId> expected_done_;
-  /// Scratch for on_completion_event (reused across events — the handler
-  /// never re-enters itself, callbacks only run after state is consistent).
-  std::vector<std::pair<FlowId, CompletionFn>> finished_;
+  /// Scratch for on_completion_event: (flow, tag) of each drained flow.
+  /// Reused across events — the handler never re-enters itself, and the
+  /// sink is only notified after the channel's state is consistent.
+  std::vector<std::pair<FlowId, std::uint64_t>> finished_;
   sim::Time last_advance_ = 0.0;
   sim::EventId pending_event_ = sim::kInvalidEventId;
 

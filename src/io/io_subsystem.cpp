@@ -6,23 +6,28 @@
 
 namespace coopcr {
 
-IoSubsystem::IoSubsystem(sim::Engine& engine, double bandwidth,
-                         AdmissionMode mode, InterferenceModel interference,
+IoSubsystem::IoSubsystem(sim::Engine& engine, RequestSink* sink,
+                         double bandwidth, AdmissionMode mode,
+                         InterferenceModel interference,
                          double degradation_alpha,
                          std::unique_ptr<TokenPolicy> policy)
     : engine_(engine),
-      channel_(engine, bandwidth, interference, degradation_alpha),
+      sink_(sink),
+      channel_(engine, this, bandwidth, interference, degradation_alpha),
       mode_(mode),
       policy_(std::move(policy)) {
+  COOPCR_CHECK(sink_ != nullptr, "I/O subsystem needs a request sink");
   if (mode_ == AdmissionMode::kSerial) {
     COOPCR_CHECK(policy_ != nullptr, "serial admission needs a token policy");
   }
 }
 
-void IoSubsystem::reset(double bandwidth, AdmissionMode mode,
-                        InterferenceModel interference,
+void IoSubsystem::reset(RequestSink* sink, double bandwidth,
+                        AdmissionMode mode, InterferenceModel interference,
                         double degradation_alpha,
                         std::unique_ptr<TokenPolicy> policy) {
+  COOPCR_CHECK(sink != nullptr, "I/O subsystem needs a request sink");
+  sink_ = sink;
   channel_.reset(bandwidth, interference, degradation_alpha);
   mode_ = mode;
   policy_ = std::move(policy);
@@ -53,7 +58,6 @@ std::uint32_t IoSubsystem::acquire_slot() {
 void IoSubsystem::release_slot(std::uint32_t index) {
   Record& rec = records_[index];
   rec.id = kInvalidRequest;
-  rec.callbacks = RequestCallbacks{};
   rec.flow = kInvalidFlow;
   rec.active = false;
   rec.next_free = free_head_;
@@ -68,8 +72,7 @@ std::uint32_t IoSubsystem::live_slot(RequestId id) const {
   return index;
 }
 
-RequestId IoSubsystem::submit(const IoRequest& request,
-                              RequestCallbacks callbacks,
+RequestId IoSubsystem::submit(const IoRequest& request, std::uint64_t tag,
                               sim::Time last_checkpoint_end,
                               double recovery_seconds) {
   COOPCR_CHECK(request.volume >= 0.0, "request volume must be >= 0");
@@ -80,7 +83,7 @@ RequestId IoSubsystem::submit(const IoRequest& request,
   Record& rec = records_[index];
   rec.id = id;
   rec.request = request;
-  rec.callbacks = std::move(callbacks);
+  rec.tag = tag;
   rec.submitted = engine_.now();
   rec.started = sim::kTimeNever;
   ++stats_.submitted;
@@ -112,13 +115,13 @@ void IoSubsystem::grant(RequestId id) {
   rec.active = true;
   stats_.total_wait_time += rec.started - rec.submitted;
   ++active_count_;
-  rec.flow = channel_.start(rec.request.volume, rec.request.nodes,
-                            [this, id](FlowId) { on_flow_complete(id); });
-  // Notify after internal state is consistent. The callback may re-enter
-  // submit() and grow the record slab, so it must be moved out of the
-  // (reallocatable) record before it runs — it fires exactly once anyway.
-  RequestCallbacks::Fn on_start = std::move(rec.callbacks.on_start);
-  if (on_start) on_start(id);
+  rec.flow = channel_.start(rec.request.volume, rec.request.nodes, id);
+  // Notify after internal state is consistent. The sink may re-enter
+  // submit() and grow the record slab, so nothing may read `rec` once it
+  // runs: the sink and tag are taken into locals first.
+  RequestSink& sink = *sink_;
+  const std::uint64_t tag = rec.tag;
+  sink.on_request_start(tag, id);
 }
 
 void IoSubsystem::pump() {
@@ -135,20 +138,22 @@ void IoSubsystem::pump() {
   pumping_ = false;
 }
 
-void IoSubsystem::on_flow_complete(RequestId id) {
+void IoSubsystem::on_flow_done(std::uint64_t tag) {
+  const RequestId id = tag;
   const std::uint32_t index = live_slot(id);
   COOPCR_ASSERT(index != kNoSlot, "completion for unknown request");
-  Record& rec = records_[index];
-  RequestCallbacks::Fn on_complete = std::move(rec.callbacks.on_complete);
+  const Record& rec = records_[index];
+  RequestSink& sink = *sink_;
+  const std::uint64_t request_tag = rec.tag;
   const sim::Time started = rec.started;
   COOPCR_ASSERT(rec.active, "completion for an inactive request");
   --active_count_;
   release_slot(index);
   ++stats_.completed;
   stats_.total_transfer_time += engine_.now() - started;
-  // Completion callback may submit follow-up requests; the token queue is
-  // already consistent (this request fully removed).
-  if (on_complete) on_complete(id);
+  // The sink may submit follow-up requests; the token queue is already
+  // consistent (this request fully removed).
+  sink.on_request_complete(request_tag, id);
   pump();
 }
 

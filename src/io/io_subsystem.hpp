@@ -16,10 +16,13 @@
 // Storage: request records live in a free-listed slab. A RequestId packs a
 // monotone submission sequence over the slab slot ((seq << 20) | slot+1), so
 // ids are O(1) to resolve without hashing *and* numerically ordered by
-// submission time — the ordering TokenPolicy tie-breaks rely on. Lifecycle
-// callbacks are move-only (sim::InlineFunction): submission moves them into
-// the record, completion moves them out — no std::function state is ever
-// duplicated per request.
+// submission time — the ordering TokenPolicy tie-breaks rely on.
+//
+// Notification: the submitter hands each request a 64-bit tag, and the
+// subsystem reports the request's start and completion with that tag to the
+// one RequestSink it was built (or reset) with. The subsystem is in turn the
+// FlowSink of its channel, tagging each flow with the RequestId, so no
+// callable is built, moved or stored anywhere on a request's path.
 
 #pragma once
 
@@ -30,7 +33,6 @@
 #include "io/request.hpp"
 #include "io/token_policy.hpp"
 #include "sim/engine.hpp"
-#include "sim/inline_fn.hpp"
 
 namespace coopcr {
 
@@ -40,15 +42,19 @@ enum class AdmissionMode {
   kSerial,      ///< one-at-a-time with a token policy
 };
 
-/// Lifecycle notifications for a request. Move-only.
-struct RequestCallbacks {
-  /// Callback type; captures up to the inline capacity need no allocation.
-  using Fn = sim::InlineFunction<void(RequestId), 48>;
+/// Receiver of an IoSubsystem's request lifecycle notifications. `tag` is
+/// the value given to submit(). A notification runs after the subsystem's
+/// state is consistent and may re-enter submit(), cancel() and abort().
+class RequestSink {
+ public:
   /// Transfer begins (token granted / admitted). Invoked synchronously from
   /// submit() when admission is immediate, otherwise from the grant path.
-  Fn on_start;
+  virtual void on_request_start(std::uint64_t tag, RequestId id) = 0;
   /// Last byte transferred.
-  Fn on_complete;
+  virtual void on_request_complete(std::uint64_t tag, RequestId id) = 0;
+
+ protected:
+  ~RequestSink() = default;
 };
 
 /// Aggregate counters for diagnostics and tests.
@@ -62,24 +68,28 @@ struct IoSubsystemStats {
 };
 
 /// The platform's I/O front-end: queue + token + shared channel.
-class IoSubsystem {
+class IoSubsystem final : private FlowSink {
  public:
-  /// `policy` is required for kSerial and ignored for kConcurrent.
-  IoSubsystem(sim::Engine& engine, double bandwidth, AdmissionMode mode,
+  /// `sink` receives every request notification (required; must outlive
+  /// the run). `policy` is required for kSerial and ignored for kConcurrent.
+  IoSubsystem(sim::Engine& engine, RequestSink* sink, double bandwidth,
+              AdmissionMode mode,
               InterferenceModel interference = InterferenceModel::kLinear,
               double degradation_alpha = 0.0,
               std::unique_ptr<TokenPolicy> policy = nullptr);
 
-  /// Re-arm for a new run with fresh parameters, keeping slab/queue capacity.
-  /// The engine must already be reset; behaves bit-identically to
-  /// constructing a fresh subsystem (same RequestIds, same order).
-  void reset(double bandwidth, AdmissionMode mode,
+  /// Re-arm for a new run, reporting to `sink`, with fresh parameters,
+  /// keeping slab/queue capacity. The engine must already be reset; behaves
+  /// bit-identically to constructing a fresh subsystem (same RequestIds,
+  /// same order).
+  void reset(RequestSink* sink, double bandwidth, AdmissionMode mode,
              InterferenceModel interference, double degradation_alpha,
              std::unique_ptr<TokenPolicy> policy);
 
-  /// Submit a request. `last_checkpoint_end` / `recovery_seconds` feed the
-  /// Least-Waste candidate model (ignored by other policies).
-  RequestId submit(const IoRequest& request, RequestCallbacks callbacks,
+  /// Submit a request whose notifications carry `tag`.
+  /// `last_checkpoint_end` / `recovery_seconds` feed the Least-Waste
+  /// candidate model (ignored by other policies).
+  RequestId submit(const IoRequest& request, std::uint64_t tag,
                    sim::Time last_checkpoint_end = 0.0,
                    double recovery_seconds = 0.0);
 
@@ -89,7 +99,7 @@ class IoSubsystem {
   bool cancel(RequestId id);
 
   /// Abort a request in any state (job failure). Active transfers are torn
-  /// down without completion callbacks. Returns false when unknown.
+  /// down without a completion notification. Returns false when unknown.
   bool abort(RequestId id);
 
   /// State queries.
@@ -118,7 +128,7 @@ class IoSubsystem {
   struct Record {
     RequestId id = kInvalidRequest;  ///< full id; kInvalidRequest when free
     IoRequest request;
-    RequestCallbacks callbacks;
+    std::uint64_t tag = 0;  ///< the submitter's, echoed in notifications
     sim::Time submitted = 0.0;
     sim::Time started = sim::kTimeNever;
     FlowId flow = kInvalidFlow;
@@ -133,9 +143,11 @@ class IoSubsystem {
 
   void grant(RequestId id);
   void pump();
-  void on_flow_complete(RequestId id);
+  /// FlowSink: a granted request's transfer finished (tag = its RequestId).
+  void on_flow_done(std::uint64_t tag) override;
 
   sim::Engine& engine_;
+  RequestSink* sink_;
   SharedChannel channel_;
   AdmissionMode mode_;
   std::unique_ptr<TokenPolicy> policy_;

@@ -1,7 +1,7 @@
 // coopcr/sim/inline_fn.hpp
 //
 // Small-buffer, move-only callable — the engine's replacement for
-// std::function on the event hot path.
+// std::function on the event hot path (sim::EventQueue's callbacks).
 //
 // Every event the simulator schedules binds a member function to a handful
 // of scalars ([this], [this, jid], [this, jid, target], ...), so the
@@ -9,17 +9,24 @@
 // captures (libstdc++'s inline buffer is two words) and is copyable, which
 // forces every stored callback to be copy-constructible. InlineFunction
 // stores captures up to `Capacity` bytes inline — zero allocation on the
-// steady-state path — and is move-only, so completion callbacks are moved,
-// never duplicated, through SharedChannel / IoSubsystem plumbing. Callables
-// larger than `Capacity` (or with throwing moves) fall back to one heap box,
-// preserving drop-in compatibility for tests and user code.
+// steady-state path — and is move-only, so a scheduled callback is moved
+// into its slot once and never duplicated. Callables larger than
+// `Capacity` (or with throwing moves) fall back to one heap box, preserving
+// drop-in compatibility for tests and user code.
+//
+// The I/O path does not use it: SharedChannel and IoSubsystem report
+// completions to one typed sink per instance with a 64-bit tag (see
+// io/channel.hpp), because a per-request callable cost several moves and
+// an indirect call per hop. Events keep InlineFunction: each event's
+// callable is built once and invoked once, and building it in place in the
+// slot measured no faster.
 //
 // Relocation rule: an inline capture that is trivially copyable (every
-// engine, channel and IoSubsystem capture — `[this, jid, serial]` and the
-// like) has no manager at all. Moving the function copies its storage
-// bytes and destroying it does nothing, so containers of callbacks (the
-// event slab, the flow slab) grow by plain byte copies. Non-trivial inline
-// captures and boxed ones keep a manager that relocates and destroys them.
+// engine capture — `[this, jid]`, `[this, jid, target]` and the like) has
+// no manager at all. Moving the function copies its storage bytes and
+// destroying it does nothing, so the event slab grows by plain byte
+// copies. Non-trivial inline captures and boxed ones keep a manager that
+// relocates and destroys them.
 
 #pragma once
 

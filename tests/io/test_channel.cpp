@@ -2,7 +2,7 @@
 // the linear interference model (paper §2/§3.1 worked example), baseline
 // no-interference mode, the adversarial degradation model, and aborts, plus
 // a differential check of the cached per-flow rates against a from-scratch
-// reference.
+// reference and a re-entrant completion sink.
 
 #include "io/channel.hpp"
 
@@ -14,6 +14,7 @@
 #include <map>
 #include <vector>
 
+#include "closure_sink.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -23,9 +24,10 @@ namespace {
 
 TEST(Channel, SingleFlowFullBandwidth) {
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0);  // 100 B/s
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0);  // 100 B/s
   double done_at = -1.0;
-  channel.start(500.0, 4, [&](FlowId) { done_at = engine.now(); });
+  channel.start(500.0, 4, sink.flow([&] { done_at = engine.now(); }));
   engine.run();
   EXPECT_DOUBLE_EQ(done_at, 5.0);
   EXPECT_DOUBLE_EQ(channel.bytes_transferred(), 500.0);
@@ -35,10 +37,11 @@ TEST(Channel, PaperTwoJobExample) {
   // §3.2: two simultaneous transfers of volume V under the linear model take
   // 2V/β each (both complete at the same instant).
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0);
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0);
   std::vector<double> done;
-  channel.start(500.0, 8, [&](FlowId) { done.push_back(engine.now()); });
-  channel.start(500.0, 8, [&](FlowId) { done.push_back(engine.now()); });
+  channel.start(500.0, 8, sink.flow([&] { done.push_back(engine.now()); }));
+  channel.start(500.0, 8, sink.flow([&] { done.push_back(engine.now()); }));
   engine.run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_DOUBLE_EQ(done[0], 10.0);
@@ -48,10 +51,11 @@ TEST(Channel, PaperTwoJobExample) {
 TEST(Channel, WeightedSharing) {
   // Weights 3:1 — the heavy flow gets 75 B/s, the light one 25 B/s.
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0);
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0);
   std::map<std::string, double> done;
-  channel.start(300.0, 3, [&](FlowId) { done["heavy"] = engine.now(); });
-  channel.start(300.0, 1, [&](FlowId) { done["light"] = engine.now(); });
+  channel.start(300.0, 3, sink.flow([&] { done["heavy"] = engine.now(); }));
+  channel.start(300.0, 1, sink.flow([&] { done["light"] = engine.now(); }));
   engine.run();
   // Heavy: 300 B at 75 B/s = 4 s. Light: 100 B by t=4 (25 B/s), then full
   // bandwidth for the remaining 200 B -> 4 + 2 = 6 s.
@@ -61,12 +65,13 @@ TEST(Channel, WeightedSharing) {
 
 TEST(Channel, StaggeredAdmissionRecomputesRates) {
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0);
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0);
   double first_done = -1.0;
   double second_done = -1.0;
-  channel.start(400.0, 1, [&](FlowId) { first_done = engine.now(); });
+  channel.start(400.0, 1, sink.flow([&] { first_done = engine.now(); }));
   engine.at(2.0, [&] {
-    channel.start(300.0, 1, [&](FlowId) { second_done = engine.now(); });
+    channel.start(300.0, 1, sink.flow([&] { second_done = engine.now(); }));
   });
   engine.run();
   // First: 200 B alone (t=0..2), then 50 B/s. Remaining 200 B -> done at 6.
@@ -77,10 +82,11 @@ TEST(Channel, StaggeredAdmissionRecomputesRates) {
 
 TEST(Channel, NoInterferenceModelIgnoresConcurrency) {
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0, InterferenceModel::kNone);
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0, InterferenceModel::kNone);
   std::vector<double> done;
-  channel.start(500.0, 2, [&](FlowId) { done.push_back(engine.now()); });
-  channel.start(200.0, 9, [&](FlowId) { done.push_back(engine.now()); });
+  channel.start(500.0, 2, sink.flow([&] { done.push_back(engine.now()); }));
+  channel.start(200.0, 9, sink.flow([&] { done.push_back(engine.now()); }));
   engine.run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_DOUBLE_EQ(done[0], 2.0);  // 200 B at full bandwidth
@@ -90,10 +96,12 @@ TEST(Channel, NoInterferenceModelIgnoresConcurrency) {
 TEST(Channel, DegradingModelShrinksAggregate) {
   // alpha = 1: two flows -> aggregate B/2, equal weights -> B/4 each.
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0, InterferenceModel::kDegrading, 1.0);
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0, InterferenceModel::kDegrading,
+                        1.0);
   std::vector<double> done;
-  channel.start(100.0, 1, [&](FlowId) { done.push_back(engine.now()); });
-  channel.start(100.0, 1, [&](FlowId) { done.push_back(engine.now()); });
+  channel.start(100.0, 1, sink.flow([&] { done.push_back(engine.now()); }));
+  channel.start(100.0, 1, sink.flow([&] { done.push_back(engine.now()); }));
   engine.run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_DOUBLE_EQ(done[0], 4.0);
@@ -102,12 +110,13 @@ TEST(Channel, DegradingModelShrinksAggregate) {
 
 TEST(Channel, AbortRemovesFlowAndSpeedsOthers) {
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0);
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0);
   double done = -1.0;
   bool aborted_fired = false;
   const FlowId victim =
-      channel.start(1000.0, 1, [&](FlowId) { aborted_fired = true; });
-  channel.start(300.0, 1, [&](FlowId) { done = engine.now(); });
+      channel.start(1000.0, 1, sink.flow([&] { aborted_fired = true; }));
+  channel.start(300.0, 1, sink.flow([&] { done = engine.now(); }));
   engine.at(2.0, [&] { EXPECT_TRUE(channel.abort(victim)); });
   engine.run();
   // Survivor: 100 B shared (t=0..2), then full bandwidth for 200 B -> t=4.
@@ -118,16 +127,18 @@ TEST(Channel, AbortRemovesFlowAndSpeedsOthers) {
 
 TEST(Channel, AbortUnknownFlowReturnsFalse) {
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0);
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0);
   EXPECT_FALSE(channel.abort(12345));
 }
 
 TEST(Channel, ZeroVolumeFlowCompletesImmediately) {
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0);
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0);
   double done = -1.0;
   engine.at(3.0, [&] {
-    channel.start(0.0, 1, [&](FlowId) { done = engine.now(); });
+    channel.start(0.0, 1, sink.flow([&] { done = engine.now(); }));
   });
   engine.run();
   EXPECT_DOUBLE_EQ(done, 3.0);
@@ -135,9 +146,10 @@ TEST(Channel, ZeroVolumeFlowCompletesImmediately) {
 
 TEST(Channel, RateAndRemainingQueries) {
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0);
-  const FlowId a = channel.start(400.0, 1, [](FlowId) {});
-  const FlowId b = channel.start(400.0, 3, [](FlowId) {});
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0);
+  const FlowId a = channel.start(400.0, 1, sink.flow());
+  const FlowId b = channel.start(400.0, 3, sink.flow());
   EXPECT_DOUBLE_EQ(channel.rate_of(a), 25.0);
   EXPECT_DOUBLE_EQ(channel.rate_of(b), 75.0);
   EXPECT_DOUBLE_EQ(channel.remaining_of(a), 400.0);
@@ -148,10 +160,11 @@ TEST(Channel, RateAndRemainingQueries) {
 
 TEST(Channel, BusyTimeTracksActivity) {
   sim::Engine engine;
-  SharedChannel channel(engine, 100.0);
-  channel.start(200.0, 1, [](FlowId) {});  // busy t=0..2
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0);
+  channel.start(200.0, 1, sink.flow());  // busy t=0..2
   engine.at(5.0, [&] {
-    channel.start(100.0, 1, [](FlowId) {});  // busy t=5..6
+    channel.start(100.0, 1, sink.flow());  // busy t=5..6
   });
   engine.run();
   EXPECT_NEAR(channel.busy_time(), 3.0, 1e-9);
@@ -162,12 +175,13 @@ TEST(Channel, LongHaulNumericalRobustness) {
   // all flows must complete without assertion failures (this regression-tests
   // the expected-completion mechanism against double rounding).
   sim::Engine engine;
-  SharedChannel channel(engine, units::gb_per_s(40));
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, units::gb_per_s(40));
   int completed = 0;
   for (int i = 0; i < 50; ++i) {
     engine.at(static_cast<double>(i) * 3601.0, [&, i] {
       channel.start(units::terabytes(5 + (i % 13)), 256 + i,
-                    [&](FlowId) { ++completed; });
+                    sink.flow([&] { ++completed; }));
     });
   }
   engine.run();
@@ -177,13 +191,48 @@ TEST(Channel, LongHaulNumericalRobustness) {
 
 TEST(Channel, RejectsInvalidArguments) {
   sim::Engine engine;
-  EXPECT_THROW(SharedChannel(engine, 0.0), Error);
-  EXPECT_THROW(SharedChannel(engine, 10.0, InterferenceModel::kLinear, -1.0),
-               Error);
-  SharedChannel channel(engine, 100.0);
-  EXPECT_THROW(channel.start(-1.0, 1, [](FlowId) {}), Error);
-  EXPECT_THROW(channel.start(1.0, 0, [](FlowId) {}), Error);
-  EXPECT_THROW(channel.start(1.0, 1, SharedChannel::CompletionFn{}), Error);
+  ClosureSink sink;
+  EXPECT_THROW(SharedChannel(engine, &sink, 0.0), Error);
+  EXPECT_THROW(
+      SharedChannel(engine, &sink, 10.0, InterferenceModel::kLinear, -1.0),
+      Error);
+  EXPECT_THROW(SharedChannel(engine, nullptr, 100.0), Error);
+  SharedChannel channel(engine, &sink, 100.0);
+  EXPECT_THROW(channel.start(-1.0, 1, sink.flow()), Error);
+  EXPECT_THROW(channel.start(1.0, 0, sink.flow()), Error);
+}
+
+TEST(Channel, SinkMayStartFlowsFromCompletion) {
+  // Re-entrancy: on_flow_done starts enough flows on the notifying channel
+  // to reallocate the flow slab, while more completions of the same event
+  // are still to be reported. Every completion is reported once, in
+  // admission order, and a flow finished in that event is no longer
+  // abortable.
+  sim::Engine engine;
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, 100.0);
+  constexpr int kFirstWave = 4;
+  constexpr int kSecondWave = 300;
+  std::vector<FlowId> ids;
+  std::vector<std::uint64_t> admitted;
+  auto start = [&](double volume, ClosureSink::FlowFn on_done) {
+    const std::uint64_t tag = sink.flow(std::move(on_done));
+    ids.push_back(channel.start(volume, 1, tag));
+    admitted.push_back(tag);
+  };
+  start(100.0, [&] {
+    EXPECT_EQ(engine.now(), 4.0);
+    for (int i = 0; i < kSecondWave; ++i) start(50.0, {});
+    EXPECT_FALSE(channel.abort(ids[1]));  // finished in this very event
+    EXPECT_EQ(channel.active(), static_cast<std::size_t>(kSecondWave));
+  });
+  for (int i = 1; i < kFirstWave; ++i) start(100.0, {});
+  engine.run();
+  EXPECT_NEAR(engine.now(), 4.0 + 50.0 * kSecondWave / 100.0, 1e-9);
+  EXPECT_EQ(sink.tags(ClosureSink::Note::kFlowDone), admitted);
+  EXPECT_EQ(channel.active(), 0u);
+  EXPECT_DOUBLE_EQ(channel.bytes_transferred(),
+                   100.0 * kFirstWave + 50.0 * kSecondWave);
 }
 
 /// From-scratch model of the channel: recomputes every flow's rate from the
@@ -264,7 +313,8 @@ void run_cached_rate_differential(InterferenceModel model,
   constexpr double kBandwidth = 7.3e9;
   constexpr double kAlpha = 0.37;
   sim::Engine engine;
-  SharedChannel channel(engine, kBandwidth, model, kAlpha);
+  ClosureSink sink;
+  SharedChannel channel(engine, &sink, kBandwidth, model, kAlpha);
   ReferenceChannel reference(kBandwidth, model, kAlpha);
   std::uint64_t x = seed;
   auto next = [&x] {
@@ -275,6 +325,7 @@ void run_cached_rate_differential(InterferenceModel model,
     return static_cast<double>(next()) / static_cast<double>(1ull << 53);
   };
   std::size_t completions = 0;
+  std::vector<FlowId> flow_of_tag;  // the sink issues tags 0, 1, 2, ...
   auto on_complete = [&](FlowId id) {
     reference.advance(engine.now());
     reference.remove(id);
@@ -322,7 +373,10 @@ void run_cached_rate_differential(InterferenceModel model,
           reference.remove(id);
           EXPECT_FALSE(channel.abort(id));  // now a stale handle
         } else {
-          const FlowId id = channel.start(volume, weight, on_complete);
+          const std::uint64_t tag = sink.flow(
+              [&, n = flow_of_tag.size()] { on_complete(flow_of_tag[n]); });
+          const FlowId id = channel.start(volume, weight, tag);
+          flow_of_tag.push_back(id);
           reference.add(id, weight, volume);
         }
         done = true;

@@ -1,5 +1,6 @@
 // Unit tests for the I/O admission layer: concurrent vs serial admission,
-// FCFS token order, cancel/abort semantics, wait/transfer bookkeeping.
+// FCFS token order, cancel/abort semantics, wait/transfer bookkeeping, and
+// a sink that re-enters the subsystem from its notifications.
 
 #include "io/io_subsystem.hpp"
 
@@ -8,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "closure_sink.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
 
@@ -23,28 +25,31 @@ IoRequest req(JobId job, IoKind kind, double volume, std::int64_t nodes) {
   return r;
 }
 
+/// Records (id, time) of the starts and completions of the requests it
+/// tags.
 struct Probe {
+  Probe(sim::Engine& engine_ref, ClosureSink& sink_ref)
+      : engine(engine_ref), sink(sink_ref) {}
+
+  sim::Engine& engine;
+  ClosureSink& sink;
   std::vector<std::pair<RequestId, double>> starts;
   std::vector<std::pair<RequestId, double>> completes;
 
-  RequestCallbacks callbacks(sim::Engine& engine) {
-    RequestCallbacks cb;
-    cb.on_start = [this, &engine](RequestId id) {
-      starts.emplace_back(id, engine.now());
-    };
-    cb.on_complete = [this, &engine](RequestId id) {
-      completes.emplace_back(id, engine.now());
-    };
-    return cb;
+  std::uint64_t tag() {
+    return sink.request(
+        [this](RequestId id) { starts.emplace_back(id, engine.now()); },
+        [this](RequestId id) { completes.emplace_back(id, engine.now()); });
   }
 };
 
 TEST(IoSubsystem, ConcurrentAdmitsImmediately) {
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kConcurrent);
-  Probe probe;
-  io.submit(req(1, IoKind::kInput, 200.0, 1), probe.callbacks(engine));
-  io.submit(req(2, IoKind::kInput, 200.0, 1), probe.callbacks(engine));
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kConcurrent);
+  Probe probe(engine, sink);
+  io.submit(req(1, IoKind::kInput, 200.0, 1), probe.tag());
+  io.submit(req(2, IoKind::kInput, 200.0, 1), probe.tag());
   ASSERT_EQ(probe.starts.size(), 2u);  // both started synchronously
   EXPECT_EQ(io.active_count(), 2u);
   engine.run();
@@ -56,13 +61,14 @@ TEST(IoSubsystem, ConcurrentAdmitsImmediately) {
 
 TEST(IoSubsystem, SerialRunsOneAtATime) {
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kSerial,
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kSerial,
                  InterferenceModel::kLinear, 0.0,
                  std::make_unique<FcfsPolicy>());
-  Probe probe;
-  io.submit(req(1, IoKind::kInput, 200.0, 1), probe.callbacks(engine));
-  io.submit(req(2, IoKind::kInput, 300.0, 1), probe.callbacks(engine));
-  io.submit(req(3, IoKind::kInput, 100.0, 1), probe.callbacks(engine));
+  Probe probe(engine, sink);
+  io.submit(req(1, IoKind::kInput, 200.0, 1), probe.tag());
+  io.submit(req(2, IoKind::kInput, 300.0, 1), probe.tag());
+  io.submit(req(3, IoKind::kInput, 100.0, 1), probe.tag());
   EXPECT_EQ(io.active_count(), 1u);
   EXPECT_EQ(io.pending_count(), 2u);
   engine.run();
@@ -78,14 +84,15 @@ TEST(IoSubsystem, SerialRunsOneAtATime) {
 
 TEST(IoSubsystem, SerialGrantTimesAreRecorded) {
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kSerial,
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kSerial,
                  InterferenceModel::kLinear, 0.0,
                  std::make_unique<FcfsPolicy>());
-  Probe probe;
+  Probe probe(engine, sink);
   const RequestId a =
-      io.submit(req(1, IoKind::kInput, 200.0, 1), probe.callbacks(engine));
+      io.submit(req(1, IoKind::kInput, 200.0, 1), probe.tag());
   const RequestId b =
-      io.submit(req(2, IoKind::kInput, 100.0, 1), probe.callbacks(engine));
+      io.submit(req(2, IoKind::kInput, 100.0, 1), probe.tag());
   EXPECT_TRUE(io.is_active(a));
   EXPECT_TRUE(io.is_pending(b));
   EXPECT_DOUBLE_EQ(io.submitted_at(b), 0.0);
@@ -96,13 +103,14 @@ TEST(IoSubsystem, SerialGrantTimesAreRecorded) {
 
 TEST(IoSubsystem, CancelPendingWorks) {
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kSerial,
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kSerial,
                  InterferenceModel::kLinear, 0.0,
                  std::make_unique<FcfsPolicy>());
-  Probe probe;
-  io.submit(req(1, IoKind::kInput, 200.0, 1), probe.callbacks(engine));
+  Probe probe(engine, sink);
+  io.submit(req(1, IoKind::kInput, 200.0, 1), probe.tag());
   const RequestId b =
-      io.submit(req(2, IoKind::kCheckpoint, 100.0, 1), probe.callbacks(engine));
+      io.submit(req(2, IoKind::kCheckpoint, 100.0, 1), probe.tag());
   EXPECT_TRUE(io.cancel(b));
   EXPECT_EQ(io.pending_count(), 0u);
   engine.run();
@@ -112,12 +120,13 @@ TEST(IoSubsystem, CancelPendingWorks) {
 
 TEST(IoSubsystem, CancelActiveFails) {
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kSerial,
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kSerial,
                  InterferenceModel::kLinear, 0.0,
                  std::make_unique<FcfsPolicy>());
-  Probe probe;
+  Probe probe(engine, sink);
   const RequestId a =
-      io.submit(req(1, IoKind::kInput, 200.0, 1), probe.callbacks(engine));
+      io.submit(req(1, IoKind::kInput, 200.0, 1), probe.tag());
   EXPECT_FALSE(io.cancel(a));
   engine.run();
   EXPECT_EQ(probe.completes.size(), 1u);
@@ -125,13 +134,14 @@ TEST(IoSubsystem, CancelActiveFails) {
 
 TEST(IoSubsystem, AbortActiveFreesTokenForNext) {
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kSerial,
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kSerial,
                  InterferenceModel::kLinear, 0.0,
                  std::make_unique<FcfsPolicy>());
-  Probe probe;
+  Probe probe(engine, sink);
   const RequestId a =
-      io.submit(req(1, IoKind::kInput, 1000.0, 1), probe.callbacks(engine));
-  io.submit(req(2, IoKind::kInput, 100.0, 1), probe.callbacks(engine));
+      io.submit(req(1, IoKind::kInput, 1000.0, 1), probe.tag());
+  io.submit(req(2, IoKind::kInput, 100.0, 1), probe.tag());
   engine.at(1.0, [&] { EXPECT_TRUE(io.abort(a)); });
   engine.run();
   ASSERT_EQ(probe.completes.size(), 1u);
@@ -142,13 +152,14 @@ TEST(IoSubsystem, AbortActiveFreesTokenForNext) {
 
 TEST(IoSubsystem, AbortPendingWorks) {
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kSerial,
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kSerial,
                  InterferenceModel::kLinear, 0.0,
                  std::make_unique<FcfsPolicy>());
-  Probe probe;
-  io.submit(req(1, IoKind::kInput, 200.0, 1), probe.callbacks(engine));
+  Probe probe(engine, sink);
+  io.submit(req(1, IoKind::kInput, 200.0, 1), probe.tag());
   const RequestId b =
-      io.submit(req(2, IoKind::kInput, 100.0, 1), probe.callbacks(engine));
+      io.submit(req(2, IoKind::kInput, 100.0, 1), probe.tag());
   EXPECT_TRUE(io.abort(b));
   engine.run();
   EXPECT_EQ(probe.completes.size(), 1u);
@@ -156,7 +167,8 @@ TEST(IoSubsystem, AbortPendingWorks) {
 
 TEST(IoSubsystem, AbortUnknownReturnsFalse) {
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kConcurrent);
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kConcurrent);
   EXPECT_FALSE(io.abort(999));
   EXPECT_FALSE(io.cancel(999));
 }
@@ -165,42 +177,114 @@ TEST(IoSubsystem, CompletionCallbackCanSubmitFollowUp) {
   // Regression test for re-entrancy: a completion handler submits a new
   // request on the same subsystem.
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kSerial,
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kSerial,
                  InterferenceModel::kLinear, 0.0,
                  std::make_unique<FcfsPolicy>());
   std::vector<double> completes;
-  RequestCallbacks second;
-  second.on_complete = [&](RequestId) { completes.push_back(engine.now()); };
-  RequestCallbacks first;
-  first.on_complete = [&](RequestId) {
+  const std::uint64_t second = sink.request(
+      {}, [&](RequestId) { completes.push_back(engine.now()); });
+  const std::uint64_t first = sink.request({}, [&](RequestId) {
     completes.push_back(engine.now());
-    io.submit(req(2, IoKind::kOutput, 300.0, 1), std::move(second));
-  };
-  io.submit(req(1, IoKind::kInput, 200.0, 1), std::move(first));
+    io.submit(req(2, IoKind::kOutput, 300.0, 1), second);
+  });
+  io.submit(req(1, IoKind::kInput, 200.0, 1), first);
   engine.run();
   ASSERT_EQ(completes.size(), 2u);
   EXPECT_DOUBLE_EQ(completes[0], 2.0);
   EXPECT_DOUBLE_EQ(completes[1], 5.0);
 }
 
+/// Re-entrancy: the first request's start notification submits enough
+/// requests to reallocate the record slab (and, under concurrent admission,
+/// where each is granted at once, the flow slab), then aborts the request
+/// itself, as the simulator does with a checkpoint whose job finished in the
+/// instant its token arrived. Every notification fires once, in admission
+/// order, and the aborted request never completes.
+void run_reentrant_start(AdmissionMode mode) {
+  sim::Engine engine;
+  ClosureSink sink;
+  std::unique_ptr<TokenPolicy> policy;
+  if (mode == AdmissionMode::kSerial) policy = std::make_unique<FcfsPolicy>();
+  IoSubsystem io(engine, &sink, 100.0, mode, InterferenceModel::kLinear, 0.0,
+                 std::move(policy));
+  constexpr int kBatch = 256;
+  std::vector<std::uint64_t> admitted;
+  std::vector<std::uint64_t> batch;
+  const std::uint64_t first = sink.request(
+      [&](RequestId id) {
+        for (int i = 0; i < kBatch; ++i) {
+          const std::uint64_t tag = sink.request();
+          admitted.push_back(tag);
+          batch.push_back(tag);
+          io.submit(req(2 + i, IoKind::kOutput, 100.0, 1), tag);
+        }
+        EXPECT_TRUE(io.is_active(id));
+        EXPECT_TRUE(io.abort(id));
+        EXPECT_FALSE(io.is_active(id));
+      },
+      [](RequestId) { ADD_FAILURE() << "aborted request completed"; });
+  admitted.push_back(first);
+  const RequestId first_id =
+      io.submit(req(1, IoKind::kCheckpoint, 100.0, 1), first);
+  EXPECT_FALSE(io.is_active(first_id));
+  engine.run();
+  EXPECT_EQ(sink.tags(ClosureSink::Note::kRequestStart), admitted);
+  EXPECT_EQ(sink.tags(ClosureSink::Note::kRequestComplete), batch);
+  EXPECT_EQ(sink.log().size(), admitted.size() + batch.size());
+  EXPECT_EQ(io.stats().submitted, static_cast<std::uint64_t>(kBatch + 1));
+  EXPECT_EQ(io.stats().completed, static_cast<std::uint64_t>(kBatch));
+  EXPECT_EQ(io.stats().aborted, 1u);
+  EXPECT_EQ(io.active_count(), 0u);
+  EXPECT_EQ(io.pending_count(), 0u);
+  // Serial: one second each, back to back. Concurrent: all share the
+  // channel from t = 0 and finish together.
+  EXPECT_NEAR(engine.now(), static_cast<double>(kBatch), 1e-9);
+}
+
+TEST(IoSubsystem, SinkReentersFromStartConcurrent) {
+  run_reentrant_start(AdmissionMode::kConcurrent);
+}
+
+TEST(IoSubsystem, SinkReentersFromStartSerial) {
+  run_reentrant_start(AdmissionMode::kSerial);
+}
+
 TEST(IoSubsystem, SerialNeedsPolicy) {
   sim::Engine engine;
-  EXPECT_THROW(IoSubsystem(engine, 100.0, AdmissionMode::kSerial), Error);
+  ClosureSink sink;
+  EXPECT_THROW(IoSubsystem(engine, &sink, 100.0, AdmissionMode::kSerial),
+               Error);
+}
+
+TEST(IoSubsystem, NeedsSink) {
+  sim::Engine engine;
+  ClosureSink sink;
+  EXPECT_THROW(IoSubsystem(engine, nullptr, 100.0, AdmissionMode::kConcurrent),
+               Error);
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kConcurrent);
+  EXPECT_THROW(io.reset(nullptr, 100.0, AdmissionMode::kConcurrent,
+                        InterferenceModel::kLinear, 0.0, nullptr),
+               Error);
 }
 
 TEST(IoSubsystem, RejectsMalformedRequests) {
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kConcurrent);
-  EXPECT_THROW(io.submit(req(1, IoKind::kInput, -1.0, 1), {}), Error);
-  EXPECT_THROW(io.submit(req(1, IoKind::kInput, 1.0, 0), {}), Error);
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kConcurrent);
+  EXPECT_THROW(io.submit(req(1, IoKind::kInput, -1.0, 1), sink.request()),
+               Error);
+  EXPECT_THROW(io.submit(req(1, IoKind::kInput, 1.0, 0), sink.request()),
+               Error);
 }
 
 TEST(IoSubsystem, StatsCountSubmissions) {
   sim::Engine engine;
-  IoSubsystem io(engine, 100.0, AdmissionMode::kConcurrent);
-  Probe probe;
-  io.submit(req(1, IoKind::kInput, 100.0, 1), probe.callbacks(engine));
-  io.submit(req(2, IoKind::kInput, 100.0, 1), probe.callbacks(engine));
+  ClosureSink sink;
+  IoSubsystem io(engine, &sink, 100.0, AdmissionMode::kConcurrent);
+  Probe probe(engine, sink);
+  io.submit(req(1, IoKind::kInput, 100.0, 1), probe.tag());
+  io.submit(req(2, IoKind::kInput, 100.0, 1), probe.tag());
   engine.run();
   EXPECT_EQ(io.stats().submitted, 2u);
   EXPECT_EQ(io.stats().completed, 2u);
