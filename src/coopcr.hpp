@@ -30,7 +30,6 @@
 #include "core/lower_bound.hpp"
 #include "core/monte_carlo.hpp"
 #include "core/optimal_period.hpp"
-#include "core/pattern.hpp"
 #include "core/policy.hpp"
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"

@@ -8,8 +8,10 @@
 // frame, stall a worker past the heartbeat deadline, tear or bit-flip the
 // campaign journal, abort the coordinator mid-run, or resize the fleet.
 // DistOptions::fault_plan carries the plan into DistSweepRunner; the hook
-// seam is compiled in always and inert when the plan is empty (pinned by
-// bench/macro_campaign's fault_seam leg).
+// seam is compiled in always and inert when the plan is empty: an empty
+// plan, or one whose triggers are never reached, gives artifacts
+// byte-identical to a run without a plan and fires no action
+// (tests/dist/test_fault_injection.cpp). Its wall-clock cost is not gated.
 //
 // Triggers are deterministic by construction: "after n units" counts fresh
 // journaled results in the coordinator (a total order), and "frame f"

@@ -16,8 +16,8 @@
 //    CACM 1988): a power-of-two array of day-width buckets addressed by
 //    floor(t / width) mod nbuckets, plus a sorted "today" window that serves
 //    pops from its back. Schedule and pop are O(1) amortised — against the
-//    O(log n) binary heap this roughly halves the per-event cost at the
-//    10^4..10^5 pending events the micro benches stress. The queue resizes
+//    O(log n) binary heap it replaced, this roughly halved the per-event
+//    cost at 10^4..10^5 pending events. The queue resizes
 //    (bucket count ~ live events, width ~ mean event spacing) as the
 //    population changes.
 //
@@ -103,7 +103,7 @@ class EventQueue {
   /// this is what makes per-replica engine reuse safe.
   void clear();
 
-  /// Slab/calendar introspection (tests, BENCH_engine.json): slots ever
+  /// Slab/calendar introspection for the tests: slots ever
   /// created and stale keys awaiting cleanup.
   std::size_t slab_slots() const { return slots_.size(); }
   std::size_t stale_items() const { return stale_count_; }

@@ -1,5 +1,6 @@
 // Deterministic fault-injection coverage: the FaultPlan grammar and knob
-// errors, and one pinned byte-identity test per recovery mechanism —
+// errors, the inert seam (empty and never-triggered plans), and one pinned
+// byte-identity test per recovery mechanism —
 // respawn, elastic resize (scripted and signal-driven),
 // heartbeat stall detection, frame drop/truncate/delay, journal tear and
 // journal flip — each asserting the final report matches the fault-free
@@ -190,6 +191,42 @@ TEST(FaultKnobs, NegativeBudgetsAreRefused) {
 }
 
 // --- byte-identity under each recovery mechanism ----------------------------
+
+TEST_F(FaultInjectionTest, InertPlansLeaveArtifactsIdenticalAndFireNothing) {
+  const exp::ExperimentSpec spec = grid_spec();
+  const exp::ExperimentReport reference = reference_report(spec);
+  dist::DistOptions options;
+  options.shards = 2;
+  const exp::ExperimentReport without_plan =
+      dist::DistSweepRunner(options).run(spec);
+  EXPECT_EQ(csv_bytes(reference), csv_bytes(without_plan));
+  EXPECT_EQ(json_bytes(reference), json_bytes(without_plan));
+
+  // The hook seam is compiled in always. An empty plan (what an empty
+  // --fault-plan parses to) and a plan whose every trigger lies past the
+  // campaign's 18 units both run through every hook; neither may move a
+  // byte or fire an action.
+  auto empty = std::make_shared<dist::FaultPlan>(
+      dist::FaultPlan::parse("", "--fault-plan"));
+  auto unreachable = std::make_shared<dist::FaultPlan>();
+  unreachable->kill_worker(0, 1000)
+      .drop_frame(1, 1000)
+      .delay_frame(0, 1000, 3)
+      .interrupt(1000)
+      .resize(4, 1000);
+  for (const auto& plan : {empty, unreachable}) {
+    options.fault_plan = plan;
+    const exp::ExperimentReport seamed =
+        dist::DistSweepRunner(options).run(spec);
+    EXPECT_EQ(csv_bytes(without_plan), csv_bytes(seamed));
+    EXPECT_EQ(json_bytes(without_plan), json_bytes(seamed));
+  }
+  EXPECT_TRUE(empty->empty());
+  ASSERT_EQ(unreachable->actions().size(), 5u);
+  for (const dist::FaultAction& action : unreachable->actions()) {
+    EXPECT_FALSE(action.fired);
+  }
+}
 
 TEST_F(FaultInjectionTest, RespawnReplacesEveryCasualtyByteIdentically) {
   const exp::ExperimentSpec spec = grid_spec();

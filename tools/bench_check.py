@@ -1,142 +1,147 @@
 #!/usr/bin/env python3
-"""Gate a fresh bench run against the committed BENCH_engine.json baseline.
-
-Two kinds of checks:
-
-* **Throughput ratios** — every tracked rate metric in the fresh run
-  (micro `items_per_second`, macro `replicas_per_sec` / `events_per_sec` /
-  `strategy_runs_per_sec`) must be at least `baseline / slack`. Shared CI
-  runners are noisy, so the default slack factor is generous (3x): the gate
-  catches order-of-magnitude regressions — a quadratic sneaking into the
-  event loop, a debug build measured by mistake — not single-digit drift.
-  Time-valued keys (`*wall_seconds`, `*_ns`) are intentionally not gated:
-  their rate counterparts already cover them without double-counting noise.
-
-* **Estimator floors** — absolute invariants of the variance-reduction
-  stack that hold on any machine because they are ratios of statistics, not
-  wall-clock: the replica-economy EAP row's vr_factor and reduction, and
-  the contrast-economy APEX-mix row's vr_factor (> 2) and replica reduction
-  (>= 3). These are the headline numbers EXPERIMENTS.md ("Replica economy")
-  advertises; a fresh run that loses them means the estimator itself
-  regressed, no slack applies. `--skip-floors` exists for smoke runs with
-  loosened CI targets where the floors are not meaningful.
+"""Gate two perfbench `sweep_fig1` runs: the CI `perf` check.
 
 Usage:
-  python3 tools/bench_check.py --baseline BENCH_engine.json \
-      --fresh fresh.json [--slack 3.0] [--skip-floors]
+  python3 tools/bench_check.py BENCH_history.jsonl UNTRACED TRACED
+
+UNTRACED and TRACED hold the standard output of
+`python3 perfbench/run.py --workload sweep_fig1 ... --trace 0` and of the
+same run with `--trace 1` (perfbench/README.md). Each must carry its
+`{"context": ...}` line and its result line. The checks:
+
+* Throughput: the untraced run's `replicas_per_s` is at least the latest
+  `sweep_fig1`/`replicas_per_s` `change_median` in BENCH_history.jsonl,
+  divided by 3. The history holds medians of paired runs on one 4-vCPU
+  box; the 3x slack absorbs a slower or shared runner and still catches an
+  order-of-magnitude regression (a quadratic in the event loop, a debug
+  build measured by mistake).
+* Dist overhead: the traced run's `dist.overhead_ratio` is at most 3. It is
+  dist wall time over in-process wall time for the same campaigns, both
+  timed in one process, so the speed of the runner cancels out.
+* Correctness: both runs report `correct` true and `failed` 0, and each
+  run's context names the workload and trace mode its position expects.
 
 Exit status 0 when every check passes; 1 with one line per violation on
-stderr otherwise. stdlib only — no third-party dependencies.
+stderr otherwise. Stdlib only.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
 
-# (path into the "macro" object, floor) — statistics, not wall-clock, so no
-# slack: see the module docstring.
-MACRO_FLOORS = [
-    ("replica_economy.vr_factor", 2.0),
-    ("replica_economy.reduction", 2.0),
-    ("contrast_economy.vr_factor", 1.5),
-    ("contrast_economy.apex_mix.vr_factor", 2.0),
-    ("contrast_economy.apex_mix.reduction", 3.0),
-]
-
-RATE_LEAVES = {
-    "replicas_per_sec",
-    "events_per_sec",
-    "strategy_runs_per_sec",
-    "items_per_second",
-}
+WORKLOAD = "sweep_fig1"
+THROUGHPUT = "replicas_per_s"
+SLACK = 3.0
+DIST_OVERHEAD = "dist.overhead_ratio"
+MAX_DIST_OVERHEAD = 3.0
 
 
-def lookup(node: object, path: str) -> object | None:
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node
+def is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def rate_keys(node: object, prefix: str = "") -> dict[str, float]:
-    """Flatten every numeric rate leaf under `node` to dotted-path -> value."""
-    rates: dict[str, float] = {}
-    if not isinstance(node, dict):
-        return rates
-    for key, value in node.items():
-        path = f"{prefix}{key}"
-        if isinstance(value, dict):
-            rates.update(rate_keys(value, f"{path}."))
-        elif key in RATE_LEAVES and isinstance(value, (int, float)):
-            rates[path] = float(value)
-    return rates
+def json_records(path: Path) -> list[object]:
+    """Every line of `path` that parses as JSON."""
+    out = []
+    for line in path.read_text().splitlines():
+        try:
+            out.append(json.loads(line))
+        except json.JSONDecodeError:
+            continue
+    return out
+
+
+def throughput_baseline(path: Path, violations: list[str]) -> float | None:
+    """The latest recorded `sweep_fig1` `replicas_per_s` change median."""
+    baseline = None
+    for record in json_records(path):
+        if (isinstance(record, dict) and record.get("workload") == WORKLOAD
+                and record.get("metric") == THROUGHPUT
+                and is_number(record.get("change_median"))):
+            baseline = float(record["change_median"])
+    if baseline is None:
+        violations.append(f"{path}: no {WORKLOAD}/{THROUGHPUT} line with a "
+                          f"numeric change_median")
+    return baseline
+
+
+def read_run(path: Path, trace: int, violations: list[str]) -> dict:
+    """The result's metrics of one run, after its context and outcome
+    checks."""
+    context = result = None
+    for record in json_records(path):
+        if not isinstance(record, dict):
+            continue
+        if isinstance(record.get("context"), dict):
+            context = record["context"]
+        elif isinstance(record.get("metrics"), dict):
+            result = record
+    if context is None or result is None:
+        violations.append(f"{path}: no perfbench context and result lines")
+        return {}
+    if context.get("workload") != WORKLOAD or context.get("trace") != trace:
+        violations.append(
+            f"{path}: context says workload {context.get('workload')!r} "
+            f"trace {context.get('trace')!r}, expected {WORKLOAD!r} "
+            f"trace {trace}")
+    for key, expected in (("correct", True), ("failed", 0)):
+        value = result.get(key)
+        if type(value) is not type(expected) or value != expected:
+            violations.append(f"{path}: {key} is {json.dumps(value)}, "
+                              f"expected {json.dumps(expected)}")
+    return result["metrics"]
+
+
+def metric(metrics: dict, name: str, path: Path,
+           violations: list[str]) -> float | None:
+    """`metrics[name]["value"]`, the shape perfbench prints."""
+    entry = metrics.get(name)
+    value = entry.get("value") if isinstance(entry, dict) else None
+    if not is_number(value):
+        violations.append(f"{path}: metric {name} missing")
+        return None
+    return float(value)
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", type=Path, required=True,
-                        help="committed BENCH_engine.json")
-    parser.add_argument("--fresh", type=Path, required=True,
-                        help="BENCH_engine.json from the run under test")
-    parser.add_argument("--slack", type=float, default=3.0,
-                        help="fresh rates may be up to this factor below "
-                             "baseline (default 3.0)")
-    parser.add_argument("--skip-floors", action="store_true",
-                        help="skip the estimator floors (smoke runs with "
-                             "loosened CI targets)")
-    args = parser.parse_args(argv)
-    if args.slack < 1.0:
-        parser.error("--slack must be >= 1.0")
-
-    baseline = json.loads(args.baseline.read_text())
-    fresh = json.loads(args.fresh.read_text())
-
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    history, untraced, traced = (Path(arg) for arg in argv)
     violations: list[str] = []
-    checked = 0
+    try:
+        baseline = throughput_baseline(history, violations)
+        untraced_metrics = read_run(untraced, 0, violations)
+        traced_metrics = read_run(traced, 1, violations)
+    except OSError as error:
+        print(f"FAIL {error}", file=sys.stderr)
+        return 1
 
-    base_rates = rate_keys(baseline)
-    fresh_rates = rate_keys(fresh)
-    for path, base_value in sorted(base_rates.items()):
-        if base_value <= 0.0:
-            continue
-        fresh_value = fresh_rates.get(path)
-        if fresh_value is None:
-            violations.append(f"{path}: present in baseline, missing from "
-                              f"fresh run")
-            continue
-        checked += 1
-        floor = base_value / args.slack
-        if fresh_value < floor:
+    rate = metric(untraced_metrics, THROUGHPUT, untraced, violations)
+    if rate is not None and baseline is not None:
+        floor = baseline / SLACK
+        if rate < floor:
             violations.append(
-                f"{path}: {fresh_value:.6g} < baseline {base_value:.6g} / "
-                f"slack {args.slack:g} = {floor:.6g}")
+                f"{untraced}: {THROUGHPUT} {rate:.6g} < {baseline:.6g} / "
+                f"{SLACK:g} = {floor:.6g}")
         else:
-            print(f"ok {path}: {fresh_value:.6g} "
-                  f"(baseline {base_value:.6g}, floor {floor:.6g})")
+            print(f"ok {THROUGHPUT} {rate:.6g} (floor {floor:.6g} = "
+                  f"{baseline:.6g} / {SLACK:g})")
 
-    if not args.skip_floors:
-        macro = fresh.get("macro", {})
-        for path, floor in MACRO_FLOORS:
-            value = lookup(macro, path)
-            checked += 1
-            if not isinstance(value, (int, float)):
-                violations.append(f"macro.{path}: floor {floor:g} but the "
-                                  f"fresh run has no such key")
-            elif value < floor:
-                violations.append(
-                    f"macro.{path}: {value:.6g} below floor {floor:g}")
-            else:
-                print(f"ok macro.{path}: {value:.6g} (floor {floor:g})")
+    ratio = metric(traced_metrics, DIST_OVERHEAD, traced, violations)
+    if ratio is not None:
+        if ratio > MAX_DIST_OVERHEAD:
+            violations.append(f"{traced}: {DIST_OVERHEAD} {ratio:.6g} > "
+                              f"{MAX_DIST_OVERHEAD:g}")
+        else:
+            print(f"ok {DIST_OVERHEAD} {ratio:.6g} "
+                  f"(at most {MAX_DIST_OVERHEAD:g})")
 
-    if checked == 0:
-        violations.append("no comparable metrics found — wrong files?")
     for line in violations:
         print(f"FAIL {line}", file=sys.stderr)
-    print(f"{checked} checks, {len(violations)} violations")
+    print(f"{len(violations)} violations")
     return 1 if violations else 0
 
 
