@@ -29,9 +29,11 @@
 //
 // A running dist campaign resizes elastically on signals: SIGUSR1 grows the
 // fleet by one worker, SIGUSR2 shrinks it by one (busy workers drain their
-// in-flight unit first). Scripted resizes, worker kills and coordinator
-// interrupts all go through --fault-plan (resize=S@N, kill=W@N, drop=W@F,
-// interrupt=N).
+// in-flight unit first). Scripted resizes, worker kills and stalls, and
+// coordinator interrupts all go through --fault-plan (resize=S@N, kill=W@N,
+// stall=W@N, drop=W@F, interrupt=N). Every fault fires from the
+// coordinator: a stall SIGSTOPs the worker as its N-th unit is dispatched,
+// and --heartbeat-ms (required with a stall) reaps it.
 
 #include <cstdlib>
 #include <filesystem>
@@ -82,8 +84,7 @@ void usage(std::ostream& os) {
         "kill=0@3,resize=4@5,interrupt=6 (COOPCR_FAULT_PLAN; see "
         "dist/fault_injection.hpp)\n"
         "  --list-specs       list registry specs and exit\n"
-        "  --worker           internal: serve units on fds 3/4\n"
-        "  --stall N:MS       internal: worker stalls MS ms before result N\n";
+        "  --worker           internal: serve units on fds 3/4\n";
 }
 
 int int_arg(const std::string& flag, const char* value) {
@@ -116,22 +117,6 @@ double double_arg(const std::string& flag, const char* value) {
   }
 }
 
-/// Parse one "--stall N:MS" worker directive.
-dist::WorkerDirectives::Stall stall_arg(const std::string& flag,
-                                        const char* value) {
-  COOPCR_CHECK(value != nullptr, flag + " needs a value");
-  const std::string text = value;
-  const std::size_t at = text.find(':');
-  COOPCR_CHECK(at != std::string::npos,
-               flag + ": expected N:MS, got \"" + text + "\"");
-  dist::WorkerDirectives::Stall stall;
-  stall.before_result = int_arg(flag, text.substr(0, at).c_str());
-  stall.ms = int_arg(flag, text.substr(at + 1).c_str());
-  COOPCR_CHECK(stall.before_result >= 1 && stall.ms >= 1,
-               flag + ": N and MS must be >= 1 in \"" + text + "\"");
-  return stall;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -157,7 +142,6 @@ int main(int argc, char** argv) {
     std::string fault_plan_text =
         env::string_knob("COOPCR_FAULT_PLAN").value_or("");
     std::string fault_plan_knob = "COOPCR_FAULT_PLAN";
-    std::vector<dist::WorkerDirectives::Stall> stalls;
 
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -219,9 +203,6 @@ int main(int argc, char** argv) {
         ++i;
       } else if (arg == "--worker") {
         worker_mode = true;
-      } else if (arg == "--stall") {
-        stalls.push_back(stall_arg(arg, next));
-        ++i;
       } else if (arg == "--list-specs") {
         for (const exp::NamedSpec& entry : exp::spec_registry()) {
           std::cout << entry.name << "\t" << entry.blurb << "\n";
@@ -256,10 +237,7 @@ int main(int argc, char** argv) {
     if (worker_mode) {
       // Exec-mode worker: rebuilt the spec above from --spec/--replicas;
       // serve units on the fixed pipe fds until shutdown.
-      dist::WorkerDirectives directives;
-      directives.stalls = stalls;
-      dist::worker_serve(spec, dist::kWorkerInFd, dist::kWorkerOutFd,
-                         directives);
+      dist::worker_serve(spec, dist::kWorkerInFd, dist::kWorkerOutFd);
       return 0;
     }
 

@@ -36,6 +36,7 @@ struct DelayedFrame {
 
 /// Coordinator-side view of one worker process.
 struct Worker {
+  int index = 0;  ///< spawn order (fault-plan worker numbering)
   pid_t pid = -1;
   int to_fd = -1;    ///< coordinator → worker (kUnit / kShutdown)
   int from_fd = -1;  ///< worker → coordinator (kHello / kResult)
@@ -45,6 +46,7 @@ struct Worker {
   std::optional<UnitMsg> inflight;  ///< dispatched, result not yet seen
   FrameBuffer buffer;
   int frames_seen = 0;  ///< inbound frames popped (frame-fault trigger)
+  int units_dispatched = 0;  ///< units handed out (stall trigger)
   std::vector<DelayedFrame> delayed;
   std::chrono::steady_clock::time_point last_heard;  ///< heartbeat clock
 };
@@ -68,6 +70,14 @@ void reap(Worker& w) {
   close_fd(w.from_fd);
 }
 
+/// The one way a worker is put down. SIGKILL is also the only signal that
+/// ends a SIGSTOPped (stalled) worker, whose graceful reap would block in
+/// waitpid forever.
+void kill_and_reap(Worker& w) {
+  if (w.pid > 0) ::kill(w.pid, SIGKILL);
+  reap(w);
+}
+
 /// Kills and reaps every still-live worker on scope exit, so an exception
 /// (digest mismatch, an injected interrupt, journal error) never leaks
 /// processes or pipe fds. A graceful shutdown reaps workers first, making
@@ -76,10 +86,7 @@ class FleetGuard {
  public:
   explicit FleetGuard(std::deque<Worker>& workers) : workers_(workers) {}
   ~FleetGuard() {
-    for (Worker& w : workers_) {
-      if (w.pid > 0) ::kill(w.pid, SIGKILL);
-      reap(w);
-    }
+    for (Worker& w : workers_) kill_and_reap(w);
   }
 
  private:
@@ -171,6 +178,10 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   COOPCR_CHECK(!plan.touches_journal() || !options_.journal.empty(),
                "--fault-plan/COOPCR_FAULT_PLAN tears or flips the journal, "
                "which needs --journal or COOPCR_JOURNAL set");
+  COOPCR_CHECK(!plan.stalls_workers() || options_.heartbeat_ms > 0,
+               "--fault-plan/COOPCR_FAULT_PLAN stalls a worker, which only "
+               "the heartbeat reaps — set --heartbeat-ms or "
+               "COOPCR_HEARTBEAT_MS");
   ignore_sigpipe();
 
   std::vector<exp::GridPoint> points = spec.expand();
@@ -292,16 +303,9 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   };
 
   auto spawn_one = [&]() {
-    const int index = static_cast<int>(workers.size());
-    WorkerDirectives directives;
-    for (const FaultAction& stall : plan.take_stalls(index)) {
-      directives.stalls.push_back(
-          WorkerDirectives::Stall{stall.after_units, stall.stall_ms});
-    }
     WorkerLaunch launch;
     if (options_.worker_command.empty()) {
       launch.spec = &spec;
-      launch.directives = directives;
       if (journal) launch.extra_close.push_back(journal->fd());
       for (const Worker& w : workers) {
         launch.extra_close.push_back(w.to_fd);
@@ -309,14 +313,10 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
       }
     } else {
       launch.command = options_.worker_command;
-      for (const WorkerDirectives::Stall& stall : directives.stalls) {
-        launch.command.push_back("--stall");
-        launch.command.push_back(std::to_string(stall.before_result) + ":" +
-                                 std::to_string(stall.ms));
-      }
     }
     const WorkerEndpoint endpoint = spawn_worker(launch);
     Worker w;
+    w.index = static_cast<int>(workers.size());
     w.pid = endpoint.pid;
     w.to_fd = endpoint.to_fd;
     w.from_fd = endpoint.from_fd;
@@ -325,13 +325,18 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     workers.push_back(std::move(w));
   };
 
-  // Replace casualties up to the respawn budget, but never spawn a worker
-  // that could not be handed a queued unit.
-  auto top_up = [&]() {
-    while (respawns_left > 0 && active_count() < target_shards &&
+  // The one fleet-sizing path: spawn toward target_shards, but never a
+  // worker that could not be handed a queued unit. Replacing casualties
+  // (`respawn`) spends the respawn budget; starting, resizing and waking
+  // the fleet do not.
+  auto grow = [&](bool respawn) {
+    while (active_count() < target_shards &&
            idle_active_count() < static_cast<int>(pending.size())) {
+      if (respawn) {
+        if (respawns_left == 0) break;
+        --respawns_left;
+      }
       spawn_one();
-      --respawns_left;
     }
   };
 
@@ -347,7 +352,10 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   };
 
   // Dispatch the next pending unit to `w`; on a broken pipe the worker is
-  // treated as dead and the unit goes back to the front of the queue.
+  // treated as dead and the unit goes back to the front of the queue. A
+  // scripted stall SIGSTOPs the worker before the unit reaches it: the
+  // worker then holds a unit it can never answer, exactly what the
+  // heartbeat deadline exists to catch.
   auto dispatch = [&](Worker& w) {
     if (pending.empty() || !w.alive || !w.hello_ok || w.inflight ||
         w.draining) {
@@ -355,34 +363,40 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     }
     const UnitMsg unit = pending.front();
     pending.pop_front();
+    if (plan.take_stall(w.index, ++w.units_dispatched)) {
+      ::kill(w.pid, SIGSTOP);
+    }
     try {
       write_frame(w.to_fd, MsgType::kUnit, encode_unit(unit));
       w.inflight = unit;
       w.last_heard = std::chrono::steady_clock::now();
     } catch (const Error&) {
       pending.push_front(unit);
-      if (w.pid > 0) ::kill(w.pid, SIGKILL);
-      reap(w);
+      kill_and_reap(w);
     }
   };
 
-  // A worker died: requeue its in-flight unit, top the fleet back up, and
-  // hand work to whoever is idle. Buffered complete frames were already
-  // drained by the caller, so anything still in flight truly never
-  // completed; held-back delayed frames die with the stream that produced
-  // them.
+  auto dispatch_idle = [&]() {
+    for (Worker& w : workers) {
+      if (pending.empty()) break;
+      dispatch(w);
+    }
+  };
+
+  // A worker died, or is condemned (hung, or its stream cut): kill and reap
+  // it, requeue its in-flight unit, top the fleet back up, and hand work to
+  // whoever is idle. Buffered complete frames were already drained by the
+  // caller, so anything still in flight truly never completed; held-back
+  // delayed frames die with the stream that produced them.
   auto handle_death = [&](Worker& w) {
-    reap(w);
+    kill_and_reap(w);
     w.delayed.clear();
     if (w.inflight) {
       pending.push_front(*w.inflight);
       w.inflight.reset();
     }
-    top_up();
-    for (Worker& other : workers) {
-      if (pending.empty()) break;
-      dispatch(other);
-    }
+    grow(/*respawn=*/true);
+    dispatch_idle();
   };
 
   // Elastic resharding: grow by spawning (capped by queued work), shrink
@@ -391,10 +405,7 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   // lost and the artifacts cannot change.
   auto do_resize = [&](int new_shards) {
     target_shards = std::max(1, new_shards);
-    while (active_count() < target_shards &&
-           idle_active_count() < static_cast<int>(pending.size())) {
-      spawn_one();
-    }
+    grow(/*respawn=*/false);
     for (Worker& w : workers) {
       if (active_count() <= target_shards) break;
       if (!w.alive || w.draining || w.inflight) continue;
@@ -490,7 +501,7 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     dispatch(w);
   };
 
-  for (int i = 0; i < target_shards; ++i) spawn_one();
+  grow(/*respawn=*/false);
   fire_unit_faults();  // zero-trigger actions fire before any result
 
   // Round loop: run the event loop until the current round's units are all
@@ -519,7 +530,6 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
         for (Worker& w : workers) {
           if (!w.alive || !w.inflight) continue;
           if (elapsed_ms_since(w.last_heard) > options_.heartbeat_ms) {
-            if (w.pid > 0) ::kill(w.pid, SIGKILL);
             handle_death(w);
           }
         }
@@ -543,7 +553,7 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
       }
       if (outstanding == 0) break;
 
-      top_up();
+      grow(/*respawn=*/true);
 
       std::vector<struct pollfd> fds;
       std::vector<std::size_t> owner;
@@ -600,7 +610,7 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
         while (std::optional<Frame> frame = w.buffer.next()) {
           ++w.frames_seen;
           const FaultAction fault =
-              plan.take_frame_fault(static_cast<int>(owner[i]), w.frames_seen);
+              plan.take_frame_fault(w.index, w.frames_seen);
           if (fault.fired) {
             if (fault.kind == FaultKind::kDelayFrame) {
               w.delayed.push_back(
@@ -616,7 +626,6 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
               const std::uint8_t torn[3] = {0x08, 0x00, 0x00};
               w.buffer.feed(torn, sizeof(torn));
             }
-            if (w.pid > 0) ::kill(w.pid, SIGKILL);
             handle_death(w);
             stream_cut = true;
             break;
@@ -670,25 +679,14 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     const int round_target = static_cast<int>(std::min<std::size_t>(
         static_cast<std::size_t>(options_.shards), pending.size()));
     if (round_target > target_shards) target_shards = round_target;
-    while (active_count() < target_shards &&
-           idle_active_count() < static_cast<int>(pending.size())) {
-      spawn_one();
-    }
-    for (Worker& w : workers) {
-      if (pending.empty()) break;
-      dispatch(w);
-    }
+    grow(/*respawn=*/false);
+    dispatch_idle();
   }
 
-  // Graceful shutdown: tell survivors to exit, then reap everyone.
+  // Graceful shutdown: every survivor is idle (a stalled worker holds a
+  // unit, so it was reaped before the count reached zero).
   for (Worker& w : workers) {
-    if (!w.alive) continue;
-    try {
-      write_frame(w.to_fd, MsgType::kShutdown, {});
-    } catch (const Error&) {
-      // Already gone; reap below.
-    }
-    reap(w);
+    if (w.alive) retire(w);
   }
   if (journal) journal->close();
 

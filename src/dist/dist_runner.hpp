@@ -69,8 +69,7 @@ struct DistOptions {
   /// serialising. When set, the command must start a process that rebuilds
   /// the same spec and calls worker_serve on kWorkerInFd/kWorkerOutFd
   /// (coopcr_sweep --worker does); the coordinator verifies the worker's
-  /// digest before dispatching. FaultPlan stalls ride along as
-  /// "--stall <n>:<ms>" flags.
+  /// digest before dispatching.
   std::vector<std::string> worker_command;
 
   /// Respawn budget: how many replacement workers may be spawned over the
@@ -81,11 +80,13 @@ struct DistOptions {
 
   /// > 0: a worker with a unit in flight that has been silent this many
   /// milliseconds is presumed hung, SIGKILLed, and its unit re-queued
-  /// (respawning within budget). 0 disables the deadline.
+  /// (respawning within budget). 0 disables the deadline, and then a
+  /// fault plan that stalls a worker is refused.
   int heartbeat_ms = 0;
 
   /// Scripted faults and fleet resizes (see dist/fault_injection.hpp):
-  /// worker kills, frame drops, stalls, journal damage, coordinator
+  /// worker kills, frame drops, stalls (SIGSTOP at dispatch; needs
+  /// heartbeat_ms), journal damage, coordinator
   /// interrupts (`interrupt=N` aborts after N fresh results) and elastic
   /// resizes (`resize=S@N`; shrinking drains busy workers, growing spawns
   /// immediately, and SIGUSR1/SIGUSR2 adjust the fleet by ±1 on top). The
@@ -108,12 +109,11 @@ class DistSweepRunner final : public exp::SweepExecutor {
   /// Expand `spec` and run the full grid across the worker fleet. A spec
   /// with a target CI width runs its sequential-stopping rounds here, each
   /// round boundary journaled so a resume re-enters the interrupted round.
-  /// run_batch stays unsupported (supports_run_batch() is false): the
-  /// coordinator runs one spec's grid, not ad-hoc campaign batches. Throws
-  /// coopcr::Error on journal/digest mismatches, when every worker died
-  /// with units outstanding and no respawn budget remains, or when the
+  /// Throws coopcr::Error on journal/digest mismatches, when every worker
+  /// died with units outstanding and no respawn budget remains, when the
   /// spec requests keep_results (full SimulationResults never cross the
-  /// process boundary).
+  /// process boundary), or when the fault plan needs a journal or a
+  /// heartbeat the options do not set.
   exp::ExperimentReport run(const exp::ExperimentSpec& spec) override;
 
  private:

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "dist/wire.hpp"
 #include "util/error.hpp"
 
 namespace coopcr::dist {
@@ -63,15 +64,12 @@ FaultPlan& FaultPlan::kill_worker(int worker, int after_units) {
   return *this;
 }
 
-FaultPlan& FaultPlan::stall_worker(int worker, int before_result,
-                                   int stall_ms) {
-  COOPCR_CHECK(worker >= 0 && before_result >= 1 && stall_ms >= 1,
-               "stall_worker: bad arguments");
+FaultPlan& FaultPlan::stall_worker(int worker, int unit) {
+  COOPCR_CHECK(worker >= 0 && unit >= 1, "stall_worker: bad arguments");
   FaultAction a;
   a.kind = FaultKind::kStallWorker;
   a.worker = worker;
-  a.after_units = before_result;
-  a.stall_ms = stall_ms;
+  a.after_units = unit;
   actions_.push_back(a);
   return *this;
 }
@@ -168,16 +166,11 @@ FaultPlan FaultPlan::parse(const std::string& text, const std::string& knob) {
       plan.kill_worker(parse_int(w, knob, "worker"),
                        parse_int(n, knob, "unit trigger"));
     } else if (name == "stall") {
-      const auto [w, rest] = split_once(args, '@', knob, action);
-      const auto [n, ms] = split_once(rest, ':', knob, action);
-      const int stall_ms = parse_int(ms, knob, "stall milliseconds");
-      COOPCR_CHECK(stall_ms >= 1,
-                   knob + ": stall milliseconds must be >= 1 in '" + action +
-                       "'");
-      const int result = parse_int(n, knob, "result number");
-      COOPCR_CHECK(result >= 1,
-                   knob + ": result number must be >= 1 in '" + action + "'");
-      plan.stall_worker(parse_int(w, knob, "worker"), result, stall_ms);
+      const auto [w, n] = split_once(args, '@', knob, action);
+      const int unit = parse_int(n, knob, "unit number");
+      COOPCR_CHECK(unit >= 1,
+                   knob + ": unit number must be >= 1 in '" + action + "'");
+      plan.stall_worker(parse_int(w, knob, "worker"), unit);
     } else if (name == "drop" || name == "trunc") {
       const auto [w, f] = split_once(args, '@', knob, action);
       const int frame = parse_int(f, knob, "frame number");
@@ -235,6 +228,13 @@ bool FaultPlan::touches_journal() const {
   return false;
 }
 
+bool FaultPlan::stalls_workers() const {
+  for (const FaultAction& a : actions_) {
+    if (a.kind == FaultKind::kStallWorker) return true;
+  }
+  return false;
+}
+
 std::vector<FaultAction> FaultPlan::take_due(int fresh_results) {
   std::vector<FaultAction> due;
   for (FaultAction& a : actions_) {
@@ -269,16 +269,15 @@ FaultAction FaultPlan::take_frame_fault(int worker, int frame) {
   return none;
 }
 
-std::vector<FaultAction> FaultPlan::take_stalls(int worker) {
-  std::vector<FaultAction> stalls;
+bool FaultPlan::take_stall(int worker, int unit) {
   for (FaultAction& a : actions_) {
-    if (a.fired || a.kind != FaultKind::kStallWorker || a.worker != worker) {
-      continue;
+    if (!a.fired && a.kind == FaultKind::kStallWorker && a.worker == worker &&
+        a.after_units == unit) {
+      a.fired = true;
+      return true;
     }
-    a.fired = true;
-    stalls.push_back(a);
   }
-  return stalls;
+  return false;
 }
 
 void append_torn_journal_tail(int fd, int garbage_bytes) {
@@ -286,19 +285,9 @@ void append_torn_journal_tail(int fd, int garbage_bytes) {
   // 0xA5 everywhere: the first four bytes decode as a length prefix far
   // beyond kMaxFramePayload, so replay classifies the tail as torn no
   // matter how many bytes land.
-  std::vector<std::uint8_t> garbage(static_cast<std::size_t>(garbage_bytes),
-                                    0xA5);
-  std::size_t written = 0;
-  while (written < garbage.size()) {
-    const ssize_t rc =
-        ::write(fd, garbage.data() + written, garbage.size() - written);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      COOPCR_CHECK(false, std::string("torn tail write failed: ") +
-                              std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(rc);
-  }
+  const std::vector<std::uint8_t> garbage(
+      static_cast<std::size_t>(garbage_bytes), 0xA5);
+  write_all(fd, garbage.data(), garbage.size(), "torn tail");
 }
 
 void flip_journal_byte_at(const std::string& path, std::uint64_t offset) {

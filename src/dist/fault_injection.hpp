@@ -5,8 +5,10 @@
 // A FaultPlan is a scripted list of faults the coordinator fires at exact,
 // reproducible trigger points while a sweep runs: SIGKILL worker k once n
 // fresh results have landed, drop/truncate/delay a specific inbound wire
-// frame, stall a worker past the heartbeat deadline, tear or bit-flip the
-// campaign journal, abort the coordinator mid-run, or resize the fleet.
+// frame, SIGSTOP a worker as it is handed a unit (the heartbeat deadline
+// then reaps it), tear or bit-flip the campaign journal, abort the
+// coordinator mid-run, or resize the fleet. Every fault fires from the
+// coordinator; workers carry no fault logic.
 // DistOptions::fault_plan carries the plan into DistSweepRunner; the hook
 // seam is compiled in always and inert when the plan is empty: an empty
 // plan, or one whose triggers are never reached, gives artifacts
@@ -14,8 +16,9 @@
 // (tests/dist/test_fault_injection.cpp). Its wall-clock cost is not gated.
 //
 // Triggers are deterministic by construction: "after n units" counts fresh
-// journaled results in the coordinator (a total order), and "frame f"
-// counts frames popped from one worker's stream (a per-worker total order).
+// journaled results in the coordinator (a total order), "frame f" counts
+// frames popped from one worker's stream and "unit n" counts units
+// dispatched to one worker (per-worker total orders).
 // The per-action fired flags live in the plan object itself, so a plan held
 // in a shared_ptr survives an injected interrupt and does not re-fire on
 // the resume attempt — which is exactly how tests/dist/test_fault_soak.cpp
@@ -32,7 +35,7 @@ namespace coopcr::dist {
 
 enum class FaultKind {
   kKillWorker,     ///< SIGKILL worker w once n fresh results landed
-  kStallWorker,    ///< worker w sleeps before sending its n-th result
+  kStallWorker,    ///< SIGSTOP worker w as its n-th unit is dispatched
   kDropFrame,      ///< discard worker w's f-th inbound frame
   kTruncateFrame,  ///< cut worker w's f-th inbound frame mid-frame
   kDelayFrame,     ///< hold worker w's f-th inbound frame for r poll rounds
@@ -47,9 +50,10 @@ enum class FaultKind {
 struct FaultAction {
   FaultKind kind = FaultKind::kInterrupt;
   int worker = 0;       ///< target worker index, in spawn order
-  int after_units = 0;  ///< fresh-result trigger (0 fires before any result)
+  /// Fresh-result trigger (0 fires before any result); for kStallWorker,
+  /// the 1-based number of the unit dispatched to `worker`.
+  int after_units = 0;
   int frame = 0;        ///< 1-based inbound frame number (frame faults)
-  int stall_ms = 0;     ///< kStallWorker sleep
   int delay_rounds = 0;  ///< kDelayFrame poll rounds to hold the frame
   int tear_bytes = 0;    ///< kTearJournal garbage byte count
   std::uint64_t offset = 0;  ///< kFlipJournalByte file offset
@@ -61,7 +65,9 @@ struct FaultAction {
 /// --fault-plan / COOPCR_FAULT_PLAN knob grammar (comma-separated):
 ///
 ///   kill=W@N        SIGKILL worker W after N fresh results
-///   stall=W@N:MS    worker W sleeps MS ms before sending its N-th result
+///   stall=W@N       SIGSTOP worker W as its N-th unit is dispatched; the
+///                   heartbeat (DistOptions::heartbeat_ms, required) then
+///                   SIGKILLs it and the unit re-runs elsewhere
 ///   drop=W@F        discard worker W's F-th inbound frame (worker is then
 ///                   killed — its stream is no longer trustworthy); frame 1
 ///                   is the kHello, so F = K+1 drops the K-th result
@@ -76,7 +82,7 @@ struct FaultAction {
 class FaultPlan {
  public:
   FaultPlan& kill_worker(int worker, int after_units);
-  FaultPlan& stall_worker(int worker, int before_result, int stall_ms);
+  FaultPlan& stall_worker(int worker, int unit);
   FaultPlan& drop_frame(int worker, int frame);
   FaultPlan& truncate_frame(int worker, int frame);
   FaultPlan& delay_frame(int worker, int frame, int rounds);
@@ -95,6 +101,11 @@ class FaultPlan {
   /// DistOptions::journal set, and the runner refuses them without one.
   bool touches_journal() const;
 
+  /// True when the plan stalls a worker — a stopped worker is only ever
+  /// reaped by the heartbeat, so the runner refuses a stall without
+  /// DistOptions::heartbeat_ms.
+  bool stalls_workers() const;
+
   // --- runtime hooks (called by DistSweepRunner) ---
 
   /// Pop every unfired unit-triggered action due at `fresh_results`
@@ -106,10 +117,9 @@ class FaultPlan {
   /// kInterrupt-kinded sentinel with fired=false when none matches.
   FaultAction take_frame_fault(int worker, int frame);
 
-  /// Pop the stall directives scripted for `worker`, marking them fired —
-  /// consumed once at spawn, so a respawned worker index does not stall
-  /// again.
-  std::vector<FaultAction> take_stalls(int worker);
+  /// Pop the unfired stall scripted for the `unit`-th unit dispatched to
+  /// worker `worker`, marking it fired. True when one matched.
+  bool take_stall(int worker, int unit);
 
   const std::vector<FaultAction>& actions() const { return actions_; }
 

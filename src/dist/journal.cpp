@@ -99,20 +99,6 @@ bool parse_block(const std::vector<std::uint8_t>& data, std::size_t& pos,
   return true;
 }
 
-void write_all_fd(int fd, const std::vector<std::uint8_t>& data) {
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t rc = ::write(fd, data.data() + written,
-                               data.size() - written);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      COOPCR_CHECK(false, std::string("journal write failed: ") +
-                              std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(rc);
-  }
-}
-
 }  // namespace
 
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
@@ -281,7 +267,7 @@ JournalWriter JournalWriter::create(const std::string& path,
   const std::vector<std::uint8_t> body =
       frame_block(encode_header_payload(header));
   block.insert(block.end(), body.begin(), body.end());
-  write_all_fd(fd, block);
+  write_all(fd, block.data(), block.size(), "journal");
   COOPCR_CHECK(::fdatasync(fd) == 0, "journal fdatasync failed");
   return writer;
 }
@@ -317,7 +303,8 @@ void JournalWriter::append_record(const JournalRecord& record) {
     enc.u32(record.replica);
     encode_slot(enc, record.slot);
   }
-  write_all_fd(fd_, frame_block(enc.bytes()));
+  const std::vector<std::uint8_t> block = frame_block(enc.bytes());
+  write_all(fd_, block.data(), block.size(), "journal");
   COOPCR_CHECK(::fdatasync(fd_) == 0, "journal fdatasync failed");
 }
 

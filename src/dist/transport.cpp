@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "dist/wire.hpp"
+#include "dist/worker.hpp"
 #include "util/error.hpp"
 
 namespace coopcr::dist {
@@ -50,7 +51,7 @@ void close_parent_side(const Channel& ch) {
     if (fd >= 0) ::close(fd);
   }
   try {
-    worker_serve(*launch.spec, ch.child_in, ch.child_out, launch.directives);
+    worker_serve(*launch.spec, ch.child_in, ch.child_out);
     ::_exit(0);
   } catch (const std::exception& e) {
     // _exit (not exit): the child shares the coordinator's memory image and

@@ -17,19 +17,15 @@
 #include <string>
 #include <vector>
 
-#include "dist/worker.hpp"
 #include "exp/experiment.hpp"
 
 namespace coopcr::dist {
 
 /// How to launch one worker. `command` empty forks the current process
-/// (the spec is inherited in memory and `directives` apply directly);
-/// non-empty fork+execs the command with its pipe ends landed on
-/// kWorkerInFd/kWorkerOutFd — the caller encodes directives as command
-/// flags in that case.
+/// (the spec is inherited in memory); non-empty fork+execs the command with
+/// its pipe ends landed on kWorkerInFd/kWorkerOutFd.
 struct WorkerLaunch {
   const exp::ExperimentSpec* spec = nullptr;  ///< fork mode (required)
-  WorkerDirectives directives;                ///< fork mode only
   std::vector<std::string> command;           ///< exec mode when non-empty
   /// Coordinator-side fds a forked child must close (the journal, other
   /// workers' pipe ends) — a child keeping a dead sibling's pipe alive

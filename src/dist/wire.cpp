@@ -37,40 +37,6 @@ std::uint32_t get_u32(const std::uint8_t* p) {
   return v;
 }
 
-/// Write `n` bytes, retrying on EINTR and short writes. Throws on error.
-void write_all(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t written = 0;
-  while (written < n) {
-    const ssize_t rc = ::write(fd, data + written, n - written);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      COOPCR_CHECK(false, std::string("wire write failed: ") +
-                              std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(rc);
-  }
-}
-
-/// Read exactly `n` bytes. Returns false on clean EOF before the first
-/// byte; throws on mid-buffer EOF or read errors.
-bool read_exact(int fd, std::uint8_t* data, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t rc = ::read(fd, data + got, n - got);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      COOPCR_CHECK(false, std::string("wire read failed: ") +
-                              std::strerror(errno));
-    }
-    if (rc == 0) {
-      if (got == 0) return false;
-      COOPCR_CHECK(false, "wire stream truncated mid-frame (peer died?)");
-    }
-    got += static_cast<std::size_t>(rc);
-  }
-  return true;
-}
-
 }  // namespace
 
 void Encoder::u16(std::uint16_t v) { put_u16(buf_, v); }
@@ -123,6 +89,20 @@ void Decoder::expect_done() const {
                                   " trailing bytes");
 }
 
+void write_all(int fd, const std::uint8_t* data, std::size_t n,
+               const char* what) {
+  std::size_t written = 0;
+  while (written < n) {
+    const ssize_t rc = ::write(fd, data + written, n - written);
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      COOPCR_CHECK(false, std::string(what) + " write failed: " +
+                              std::strerror(errno));
+    }
+    written += static_cast<std::size_t>(rc);
+  }
+}
+
 void write_frame(int fd, MsgType type,
                  const std::vector<std::uint8_t>& payload) {
   COOPCR_CHECK(payload.size() <= kMaxFramePayload, "frame payload too large");
@@ -131,24 +111,7 @@ void write_frame(int fd, MsgType type,
   put_u32(frame, static_cast<std::uint32_t>(payload.size()));
   put_u16(frame, static_cast<std::uint16_t>(type));
   frame.insert(frame.end(), payload.begin(), payload.end());
-  write_all(fd, frame.data(), frame.size());
-}
-
-std::optional<Frame> read_frame(int fd) {
-  std::uint8_t head[6];
-  if (!read_exact(fd, head, sizeof(head))) return std::nullopt;
-  const std::uint32_t len = get_u32(head);
-  COOPCR_CHECK(len <= kMaxFramePayload,
-               "wire frame claims " + std::to_string(len) +
-                   " payload bytes — corrupt stream");
-  Frame frame;
-  frame.type = static_cast<MsgType>(head[4] | (head[5] << 8));
-  frame.payload.resize(len);
-  if (len > 0) {
-    COOPCR_CHECK(read_exact(fd, frame.payload.data(), len),
-                 "wire stream truncated mid-frame (peer died?)");
-  }
-  return frame;
+  write_all(fd, frame.data(), frame.size(), "wire");
 }
 
 void FrameBuffer::feed(const std::uint8_t* data, std::size_t n) {

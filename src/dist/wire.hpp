@@ -106,19 +106,19 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Write all of `frame` to `fd` (retrying on EINTR / short writes). Throws
-/// coopcr::Error on any write failure, including EPIPE from a dead peer.
+/// Write `n` bytes to `fd`, retrying on EINTR and short writes. Throws
+/// coopcr::Error naming `what` ("wire", "journal", ...) on any write
+/// failure, including EPIPE from a dead peer.
+void write_all(int fd, const std::uint8_t* data, std::size_t n,
+               const char* what);
+
+/// Write one frame to `fd` with write_all.
 void write_frame(int fd, MsgType type,
                  const std::vector<std::uint8_t>& payload);
 
-/// Blocking read of one frame from `fd`. Returns nullopt on clean EOF at a
-/// frame boundary; throws coopcr::Error on mid-frame EOF, oversized frames
-/// or read errors. (The coordinator uses FrameBuffer instead — this is the
-/// worker-side loop, one frame at a time.)
-std::optional<Frame> read_frame(int fd);
-
-/// Incremental frame parser for the coordinator's poll loop: feed whatever
-/// bytes arrived, pop complete frames as they materialise.
+/// Incremental frame parser for both ends of a pipe (the coordinator's poll
+/// loop and the worker's blocking read loop): feed whatever bytes arrived,
+/// pop complete frames as they materialise.
 class FrameBuffer {
  public:
   /// Append raw bytes from a read().
@@ -128,7 +128,8 @@ class FrameBuffer {
   /// on an oversized length prefix.
   std::optional<Frame> next();
 
-  /// True when a partial frame is pending (mid-frame EOF detector).
+  /// True when a partial frame is pending: at EOF, the stream was
+  /// truncated mid-frame.
   bool has_partial() const { return !buf_.empty(); }
 
  private:

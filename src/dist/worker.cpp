@@ -1,8 +1,9 @@
 #include "dist/worker.hpp"
 
-#include <time.h>
+#include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -12,22 +13,7 @@
 
 namespace coopcr::dist {
 
-namespace {
-
-/// Sleep that survives EINTR — a stalled worker must stall for the full
-/// scripted duration or the heartbeat test turns flaky.
-void sleep_ms(int ms) {
-  struct timespec ts;
-  ts.tv_sec = ms / 1000;
-  ts.tv_nsec = static_cast<long>(ms % 1000) * 1000000L;
-  while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
-}
-
-}  // namespace
-
-void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
-                  const WorkerDirectives& directives) {
+void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd) {
   // The worker expands the grid itself (fork mode inherits the spec; exec
   // mode rebuilt it from the command line) and proves which grid it holds
   // by announcing the digest.
@@ -45,10 +31,26 @@ void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
   hello.spec_digest = spec_digest(spec, points);
   write_frame(out_fd, MsgType::kHello, encode_hello(hello));
 
-  int units_done = 0;
+  FrameBuffer buffer;
   for (;;) {
-    const std::optional<Frame> frame = read_frame(in_fd);
-    if (!frame) return;  // coordinator went away — nothing durable to lose
+    const std::optional<Frame> frame = buffer.next();
+    if (!frame) {
+      std::uint8_t chunk[4096];
+      const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        COOPCR_CHECK(false, std::string("wire read failed: ") +
+                                std::strerror(errno));
+      }
+      if (n == 0) {
+        // The coordinator went away — nothing durable to lose.
+        COOPCR_CHECK(!buffer.has_partial(),
+                     "wire stream truncated mid-frame (peer died?)");
+        return;
+      }
+      buffer.feed(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
     if (frame->type == MsgType::kShutdown) return;
     COOPCR_CHECK(frame->type == MsgType::kUnit,
                  "worker expected kUnit, got frame type " +
@@ -67,15 +69,6 @@ void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
       campaign.extend(campaign.options().antithetic ? 2 * needed : needed);
     }
     campaign.run_replica_task(static_cast<int>(unit.replica));
-    ++units_done;
-    for (const WorkerDirectives::Stall& stall : directives.stalls) {
-      // Stall *before* sending: the coordinator sees a silent worker with a
-      // unit in flight, which is what the heartbeat deadline detects. The
-      // result itself is unaffected — if the worker survives the stall the
-      // slot ships bit-identically, and if the heartbeat kills it first the
-      // unit re-runs elsewhere to the same bits.
-      if (stall.before_result == units_done) sleep_ms(stall.ms);
-    }
     ResultMsg result;
     result.point = unit.point;
     result.replica = unit.replica;

@@ -11,34 +11,18 @@
 // replica with MonteCarloCampaign::run_replica_task, ship the finished
 // slot back as kResult. The coordinator refuses a digest that does not
 // match its own grid, so an exec'd worker can never silently compute a
-// different experiment.
+// different experiment. Workers carry no fault logic: every scripted fault
+// (dist/fault_injection.hpp) fires from the coordinator.
 
 #pragma once
-
-#include <vector>
 
 #include "exp/experiment.hpp"
 
 namespace coopcr::dist {
 
-/// Deterministic fault hooks a worker applies to itself, carried either
-/// in-memory (fork mode) or via --stall flags (exec mode). DistSweepRunner
-/// fills them at spawn from the FaultPlan's stall actions.
-struct WorkerDirectives {
-  /// Sleep `ms` milliseconds *before* sending result number
-  /// `before_result` (1-based) — long enough sleeps trip the coordinator's
-  /// heartbeat deadline (DistOptions::heartbeat_ms).
-  struct Stall {
-    int before_result = 0;
-    int ms = 0;
-  };
-  std::vector<Stall> stalls;
-};
-
-/// Serve work units for `spec` on the given pipe fds until kShutdown or
-/// EOF, applying `directives` at their trigger points. Returns normally on
-/// shutdown; throws coopcr::Error on protocol violations.
-void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
-                  const WorkerDirectives& directives);
+/// Serve work units for `spec` on the given pipe fds until kShutdown or a
+/// clean EOF. Returns normally on either; throws coopcr::Error on protocol
+/// violations, including a stream that ends mid-frame.
+void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd);
 
 }  // namespace coopcr::dist

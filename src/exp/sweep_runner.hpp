@@ -27,6 +27,14 @@
 
 namespace coopcr::exp {
 
+/// One unit of run_batch work: a Monte Carlo campaign (scenario × strategy
+/// set).
+struct Campaign {
+  ScenarioConfig scenario;
+  std::vector<Strategy> strategies;
+  MonteCarloOptions options;  ///< `threads` is ignored — the pool governs
+};
+
 /// Resolved sequential-stopping replica cap for `options`:
 /// resolved_max_replicas() with antithetic pair parity kept.
 int sequential_stopping_cap(const MonteCarloOptions& options);
@@ -70,10 +78,9 @@ class SweepRunner final : public SweepExecutor {
   ExperimentReport run(const ExperimentSpec& spec) override;
 
   /// Run several campaigns concurrently on the shared pool; reports come
-  /// back in campaign order.
-  bool supports_run_batch() const override { return true; }
-  std::vector<MonteCarloReport> run_batch(
-      std::vector<Campaign> campaigns) override;
+  /// back in campaign order. In-process only: adaptive drivers hold a
+  /// SweepRunner, not the SweepExecutor interface.
+  std::vector<MonteCarloReport> run_batch(std::vector<Campaign> campaigns);
 
  private:
   std::unique_ptr<ThreadPool> pool_;

@@ -92,6 +92,9 @@ TEST_F(CliKnobsTest, BadKnobValuesNameTheirOwnKnob) {
                  "--fault-plan");
   expect_refusal("--spec demo --replicas 2 --shards 2 --fault-plan kill=0",
                  "--fault-plan");
+  // A stopped worker is reaped by the heartbeat alone.
+  expect_refusal("--spec demo --replicas 2 --shards 2 --fault-plan stall=0@1",
+                 "--heartbeat-ms");
 }
 
 TEST_F(CliKnobsTest, RemovedFlagsAreUnknownArguments) {

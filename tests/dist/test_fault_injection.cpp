@@ -1,17 +1,18 @@
 // Deterministic fault-injection coverage: the FaultPlan grammar and knob
 // errors, the inert seam (empty and never-triggered plans), and one pinned
-// byte-identity test per recovery mechanism —
-// respawn, elastic resize (scripted and signal-driven),
-// heartbeat stall detection, frame drop/truncate/delay, journal tear and
-// journal flip — each asserting the final report matches the fault-free
-// in-process run byte for byte. The randomized closure over schedules
-// lives in test_fault_soak.cpp.
+// byte-identity test per recovery mechanism — respawn, elastic resize
+// (scripted and signal-driven), heartbeat stall detection (fork and exec
+// workers), frame drop/truncate/delay, journal tear and journal flip —
+// each asserting the final report matches the fault-free in-process run
+// byte for byte. The randomized closure over schedules lives in
+// test_fault_soak.cpp.
 
 #include <gtest/gtest.h>
 
 #include <signal.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -79,7 +80,7 @@ class FaultInjectionTest : public ::testing::Test {
 
 TEST(FaultPlanParse, ParsesEveryActionKind) {
   const dist::FaultPlan plan = dist::FaultPlan::parse(
-      "kill=1@4,stall=0@2:500,drop=2@3,trunc=0@5,delay=1@2:3,tear=6:32,"
+      "kill=1@4,stall=0@2,drop=2@3,trunc=0@5,delay=1@2:3,tear=6:32,"
       "flip=7:123,interrupt=9,resize=4@5",
       "--fault-plan");
   ASSERT_EQ(plan.actions().size(), 9u);
@@ -87,7 +88,9 @@ TEST(FaultPlanParse, ParsesEveryActionKind) {
   EXPECT_EQ(plan.actions()[0].worker, 1);
   EXPECT_EQ(plan.actions()[0].after_units, 4);
   EXPECT_EQ(plan.actions()[1].kind, dist::FaultKind::kStallWorker);
-  EXPECT_EQ(plan.actions()[1].stall_ms, 500);
+  EXPECT_EQ(plan.actions()[1].worker, 0);
+  EXPECT_EQ(plan.actions()[1].after_units, 2);
+  EXPECT_TRUE(plan.stalls_workers());
   EXPECT_EQ(plan.actions()[2].kind, dist::FaultKind::kDropFrame);
   EXPECT_EQ(plan.actions()[2].frame, 3);
   EXPECT_EQ(plan.actions()[3].kind, dist::FaultKind::kTruncateFrame);
@@ -105,6 +108,8 @@ TEST(FaultPlanParse, ParsesEveryActionKind) {
   EXPECT_TRUE(dist::FaultPlan::parse("", "--fault-plan").empty());
   EXPECT_FALSE(
       dist::FaultPlan::parse("kill=0@1", "--fault-plan").touches_journal());
+  EXPECT_FALSE(
+      dist::FaultPlan::parse("kill=0@1", "--fault-plan").stalls_workers());
 }
 
 TEST(FaultPlanParse, MalformedActionsThrowNamingTheKnob) {
@@ -113,8 +118,8 @@ TEST(FaultPlanParse, MalformedActionsThrowNamingTheKnob) {
       "kill=0",        // missing @trigger
       "kill=x@1",      // non-numeric worker
       "kill=0@",       // empty trigger
-      "stall=0@1",     // missing :ms
-      "stall=0@0:100",  // result number must be >= 1
+      "stall=0@0",     // unit number must be >= 1
+      "stall=0@2:500",  // the stall's old :MS duration is gone
       "drop=0@0",      // frame number must be >= 1
       "delay=0@2",     // missing :rounds
       "tear=5",        // missing :bytes
@@ -137,12 +142,14 @@ TEST(FaultPlanParse, MalformedActionsThrowNamingTheKnob) {
 
 TEST(FaultPlanParse, SingleShotHooksFireExactlyOnce) {
   dist::FaultPlan plan;
-  plan.interrupt(3).kill_worker(1, 2).stall_worker(0, 1, 100).drop_frame(0, 2);
+  plan.interrupt(3).kill_worker(1, 2).stall_worker(0, 1).drop_frame(0, 2);
   EXPECT_TRUE(plan.take_due(1).empty());
   ASSERT_EQ(plan.take_due(3).size(), 2u);  // kill@2 and interrupt@3 both due
   EXPECT_TRUE(plan.take_due(3).empty());   // fired flags stick
-  ASSERT_EQ(plan.take_stalls(0).size(), 1u);
-  EXPECT_TRUE(plan.take_stalls(0).empty());
+  EXPECT_FALSE(plan.take_stall(1, 1));     // another worker's stall
+  EXPECT_FALSE(plan.take_stall(0, 2));     // another unit's stall
+  EXPECT_TRUE(plan.take_stall(0, 1));
+  EXPECT_FALSE(plan.take_stall(0, 1));
   EXPECT_FALSE(plan.take_frame_fault(0, 1).fired);
   EXPECT_TRUE(plan.take_frame_fault(0, 2).fired);
   EXPECT_FALSE(plan.take_frame_fault(0, 2).fired);
@@ -179,6 +186,27 @@ TEST(FaultKnobs, JournalFaultsWithoutJournalNameTheKnobs) {
     EXPECT_NE(what.find("--fault-plan"), std::string::npos) << what;
     EXPECT_NE(what.find("--journal"), std::string::npos) << what;
   }
+}
+
+TEST(FaultKnobs, StallWithoutHeartbeatNamesTheKnobs) {
+  // A stopped worker is reaped by the heartbeat alone; without one the
+  // run would hang, so it is refused before any worker is spawned.
+  auto plan = std::make_shared<dist::FaultPlan>();
+  plan->stall_worker(0, 2);
+  dist::DistOptions options;
+  options.shards = 2;
+  options.fault_plan = plan;
+  dist::DistSweepRunner runner(options);
+  try {
+    runner.run(grid_spec());
+    FAIL() << "expected a stall plan without a heartbeat to refuse";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--fault-plan"), std::string::npos) << what;
+    EXPECT_NE(what.find("--heartbeat-ms"), std::string::npos) << what;
+    EXPECT_NE(what.find("COOPCR_HEARTBEAT_MS"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(plan->actions()[0].fired);
 }
 
 TEST(FaultKnobs, NegativeBudgetsAreRefused) {
@@ -296,12 +324,11 @@ TEST_F(FaultInjectionTest, SignalResizeIsByteIdenticalAndSurvivesShrink) {
 TEST_F(FaultInjectionTest, HeartbeatKillsAStalledWorkerAndRecovers) {
   const exp::ExperimentSpec spec = grid_spec();
   const exp::ExperimentReport reference = reference_report(spec);
-  // Worker 0 sleeps 60 s before sending its second result — far past the
-  // 150 ms heartbeat deadline. The coordinator must kill it, re-run the
-  // unit elsewhere, and finish with identical bytes (long before the stall
-  // would have ended).
+  // Worker 0 is SIGSTOPped as its second unit is dispatched and never
+  // answers. The 150 ms heartbeat must kill it, re-run the unit elsewhere,
+  // and finish with identical bytes.
   auto plan = std::make_shared<dist::FaultPlan>();
-  plan->stall_worker(0, 2, 60000);
+  plan->stall_worker(0, 2);
   dist::DistOptions options;
   options.shards = 2;
   options.heartbeat_ms = 150;
@@ -311,6 +338,37 @@ TEST_F(FaultInjectionTest, HeartbeatKillsAStalledWorkerAndRecovers) {
   const exp::ExperimentReport survived = runner.run(spec);
   EXPECT_EQ(csv_bytes(reference), csv_bytes(survived));
   EXPECT_EQ(json_bytes(reference), json_bytes(survived));
+  EXPECT_TRUE(plan->actions()[0].fired);
+}
+
+TEST_F(FaultInjectionTest, HeartbeatKillsAStalledExecWorkerAndRecovers) {
+  // The same stall against fork+exec workers: the coordinator stops a
+  // process it did not fork from its own image, and the heartbeat reaps
+  // it the same way. The workers are coopcr_sweep --worker, which rebuilds
+  // the registry's demo spec; ctest runs next to that binary.
+  const char* bin_env = std::getenv("COOPCR_SWEEP_BIN");
+  const std::string bin = bin_env ? bin_env : "./coopcr_sweep";
+  if (!std::filesystem::exists(bin)) {
+    GTEST_SKIP() << "coopcr_sweep binary not found at " << bin
+                 << " — run under ctest from the build root or set "
+                    "COOPCR_SWEEP_BIN";
+  }
+  const exp::ExperimentSpec spec = exp::build_named_spec("demo", 2);
+  const exp::ExperimentReport reference = reference_report(spec);
+  auto plan = std::make_shared<dist::FaultPlan>();
+  plan->stall_worker(0, 2);
+  dist::DistOptions options;
+  options.shards = 2;
+  options.heartbeat_ms = 300;
+  options.max_respawns = 1;
+  options.fault_plan = plan;
+  options.worker_command = {bin, "--worker", "--spec", "demo", "--replicas",
+                            "2"};
+  dist::DistSweepRunner runner(options);
+  const exp::ExperimentReport survived = runner.run(spec);
+  EXPECT_EQ(csv_bytes(reference), csv_bytes(survived));
+  EXPECT_EQ(json_bytes(reference), json_bytes(survived));
+  EXPECT_TRUE(plan->actions()[0].fired);
 }
 
 TEST_F(FaultInjectionTest, DroppedTruncatedAndDelayedFramesAreSurvived) {

@@ -121,10 +121,9 @@ Schedule generate_schedule(std::mt19937_64& rng) {
     } else if (roll < 70) {
       if (stalled) continue;
       stalled = true;
-      // The stall is far past the heartbeat deadline — the coordinator
-      // must kill the worker, never wait the stall out.
+      // A stopped worker never answers — only the heartbeat reaps it.
       emit("stall=" + std::to_string(worker % s.shards) + "@" +
-           std::to_string(1 + static_cast<int>(rng() % 3)) + ":60000");
+           std::to_string(1 + static_cast<int>(rng() % 3)));
       ++destructive;
     } else if (roll < 80) {
       const int shards = 1 + static_cast<int>(rng() % 4);
@@ -271,7 +270,7 @@ TEST_F(FaultSoakTest, KitchenSinkScheduleConverges) {
   s.respawns = 6;
   s.heartbeat_ms = 150;
   s.plan_text =
-      "kill=0@2,stall=1@2:60000,drop=2@2,trunc=3@3,delay=0@3:2,"
+      "kill=0@2,stall=1@2,drop=2@2,trunc=3@3,delay=0@3:2,"
       "resize=4@5,interrupt=8,tear=12:24,flip=16:100,kill=1@20";
   const exp::ExperimentSpec spec = soak_spec();
   exp::SweepRunner reference_runner(/*threads=*/1);

@@ -1,5 +1,7 @@
 // Wire protocol invariants: bit-exact slot round trips, incremental frame
-// parsing under arbitrary chunking, and corrupt-stream rejection.
+// parsing under arbitrary chunking, and corrupt-stream rejection — the
+// last also through the worker's own read loop (worker_serve), which
+// parses its inbound pipe with the same FrameBuffer as the coordinator.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +10,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
+#include "coopcr.hpp"
 #include "dist/wire.hpp"
+#include "dist/worker.hpp"
 #include "util/error.hpp"
 
 namespace coopcr::dist {
@@ -177,48 +182,68 @@ std::vector<std::uint8_t> sample_result_stream() {
   return stream;
 }
 
+/// A one-point grid: enough for worker_serve to expand and announce.
+exp::ExperimentSpec worker_spec() {
+  exp::ExperimentSpec spec(ScenarioBuilder::cielo_apex(/*seed=*/17)
+                               .min_makespan(units::days(6))
+                               .segment(units::days(1), units::days(5)),
+                           "wire_worker");
+  MonteCarloOptions options;
+  options.replicas = 1;
+  spec.strategies({oblivious_daly()}).options(options);
+  return spec;
+}
+
 /// Write the first `len` bytes of `stream` into a pipe, close the write
-/// end, and hand the read end to read_frame.
-std::optional<Frame>
-read_partial_stream(const std::vector<std::uint8_t>& stream, std::size_t len) {
-  int fds[2];
-  EXPECT_EQ(::pipe(fds), 0);
+/// end, and serve it with worker_serve: the worker's read loop is the code
+/// under test. Returns the coopcr::Error text it threw, or "" when it
+/// returned normally.
+std::string serve_partial_stream(const std::vector<std::uint8_t>& stream,
+                                 std::size_t len) {
+  int in[2];
+  int out[2];
+  EXPECT_EQ(::pipe(in), 0);
+  EXPECT_EQ(::pipe(out), 0);
   std::size_t written = 0;
   while (written < len) {
-    const ssize_t rc = ::write(fds[1], stream.data() + written, len - written);
+    const ssize_t rc = ::write(in[1], stream.data() + written, len - written);
     EXPECT_GT(rc, 0) << "pipe write failed";
     if (rc <= 0) break;
     written += static_cast<std::size_t>(rc);
   }
-  ::close(fds[1]);
-  std::optional<Frame> frame;
+  ::close(in[1]);
+  std::string error;
   try {
-    frame = read_frame(fds[0]);
-    ::close(fds[0]);
-  } catch (...) {
-    ::close(fds[0]);
-    throw;
+    worker_serve(worker_spec(), in[0], out[1]);  // writes a tiny kHello
+  } catch (const Error& e) {
+    error = e.what();
   }
-  return frame;
+  ::close(in[0]);
+  ::close(out[0]);
+  ::close(out[1]);
+  return error;
 }
 
 }  // namespace
 
 TEST(WireMalformed, ShortReadAtEveryByteBoundaryIsMidFrameEof) {
-  // Table-driven over every possible cut point of a full kResult frame:
-  // 0 bytes is a clean EOF (nullopt), any strict prefix is a mid-frame EOF
-  // (Error), the full stream pops the frame.
+  // Table-driven over every possible cut point of a full kResult frame fed
+  // to a worker: 0 bytes is a clean EOF (the worker returns), any strict
+  // prefix is a mid-frame EOF (Error naming the truncation), and the full
+  // stream pops the frame whole — which the worker then refuses, since it
+  // accepts only kUnit and kShutdown.
   const std::vector<std::uint8_t> stream = sample_result_stream();
-  EXPECT_FALSE(read_partial_stream(stream, 0).has_value());
+  EXPECT_EQ(serve_partial_stream(stream, 0), "");
   for (std::size_t len = 1; len < stream.size(); ++len) {
     SCOPED_TRACE("cut after byte " + std::to_string(len) + " of " +
                  std::to_string(stream.size()));
-    EXPECT_THROW((void)read_partial_stream(stream, len), Error);
+    EXPECT_NE(
+        serve_partial_stream(stream, len).find("truncated mid-frame"),
+        std::string::npos);
   }
-  const std::optional<Frame> full =
-      read_partial_stream(stream, stream.size());
-  ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(full->type, MsgType::kResult);
+  EXPECT_NE(
+      serve_partial_stream(stream, stream.size()).find("expected kUnit"),
+      std::string::npos);
 }
 
 TEST(WireMalformed, DecoderRejectsTruncationAtEveryPayloadBoundary) {
@@ -239,12 +264,13 @@ TEST(WireMalformed, DecoderRejectsTruncationAtEveryPayloadBoundary) {
   EXPECT_EQ(decode_result(payload).replica, 2u);
 }
 
-TEST(WireMalformed, ReadFrameRejectsOversizedLengthPrefix) {
+TEST(WireMalformed, WorkerRejectsOversizedLengthPrefix) {
   Encoder enc;
   enc.u32(kMaxFramePayload + 1);
   enc.u16(static_cast<std::uint16_t>(MsgType::kResult));
-  EXPECT_THROW((void)read_partial_stream(enc.bytes(), enc.bytes().size()),
-               Error);
+  const std::vector<std::uint8_t>& stream = enc.bytes();
+  EXPECT_NE(serve_partial_stream(stream, stream.size()).find("corrupt"),
+            std::string::npos);
 }
 
 TEST(WireMalformed, ValidateHelloRefusesVersionSkewAndWrongGrid) {
