@@ -163,6 +163,8 @@ int main(int argc, char** argv) {
                   << grid.cell_count() << " points\t" << grid.replicas
                   << " replicas\t" << grid.strategies.size()
                   << " strategies" << (grid.complete() ? "" : "\tINCOMPLETE")
+                  << (grid.plan.spec ? "" : "\tno periods: " +
+                                                grid.plan.no_periods)
                   << "\n";
       }
       return 0;

@@ -1,6 +1,7 @@
 #include "core/simulation.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <unordered_map>
 
@@ -8,6 +9,7 @@
 #include "platform/node_pool.hpp"
 #include "sched/job_scheduler.hpp"
 #include "sim/engine.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -64,6 +66,7 @@ class Runner final : private RequestSink {
     COOPCR_CHECK(!cfg_.classes.empty(), "simulation needs resolved classes");
     cfg_.platform.validate();
     stop_time_ = std::min(cfg_.horizon, cfg_.segment_end);
+    if (cfg_.checkpoints_enabled) check_cycles_advance();
     engine_.reset();
     RequestSink* const sink = this;  // the workspace's subsystems report here
     if (ws.io) {
@@ -217,6 +220,28 @@ class Runner final : private RequestSink {
   double request_delay(const JobRt& rt) const {
     return cfg_.strategy.offset().request_delay(period_of(rt),
                                                 rt.cls->checkpoint_seconds);
+  }
+
+  /// A checkpoint cycle — the request delay, then a commit of at least C_i —
+  /// must move the clock even at the stop time, where doubles are coarsest.
+  /// Otherwise (a zero period, or one below the clock's resolution) the
+  /// timer re-arms at the same instant forever. Checked once per class.
+  void check_cycles_advance() const {
+    if (!std::isfinite(stop_time_)) return;
+    for (const ClassOnPlatform& cls : cfg_.classes) {
+      const double commit = cls.checkpoint_seconds;
+      const double delay = cfg_.strategy.offset().request_delay(
+          cfg_.strategy.period().period_for(cls), commit);
+      COOPCR_CHECK(stop_time_ + delay > stop_time_ ||
+                       stop_time_ + commit > stop_time_,
+                   "class '" + cls.app.name + "' under " +
+                       cfg_.strategy.name() +
+                       ": a checkpoint cycle of " +
+                       format_number(delay + commit) +
+                       " s does not advance the clock at the stop time " +
+                       format_number(stop_time_) +
+                       " s — the period is below the clock's resolution");
+    }
   }
 
   // --- request tags ----------------------------------------------------------

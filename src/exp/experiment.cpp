@@ -15,6 +15,53 @@ namespace {
 /// locale-independent ("40", "0.25", "2.5e+07").
 std::string value_label(double value) { return format_number(value, 6); }
 
+// The scenario edit of each named numeric axis.
+using AxisRule = void (*)(ScenarioBuilder&, double);
+
+void set_pfs_bandwidth(ScenarioBuilder& b, double v) {
+  b.pfs_bandwidth(units::gb_per_s(v));
+}
+void set_node_mtbf(ScenarioBuilder& b, double v) {
+  b.node_mtbf(units::years(v));
+}
+void set_interference(ScenarioBuilder& b, double v) {
+  b.interference(
+      v == 0.0 ? InterferenceModel::kLinear : InterferenceModel::kDegrading,
+      v);
+}
+void set_io_power_ratio(ScenarioBuilder& b, double v) { b.io_power_ratio(v); }
+void set_power_cap(ScenarioBuilder& b, double v) { b.power_cap(v); }
+void set_bb_capacity(ScenarioBuilder& b, double v) {
+  b.bb_capacity_factor(v);
+}
+void set_bb_bandwidth(ScenarioBuilder& b, double v) {
+  b.bb_bandwidth(units::gb_per_s(v));
+}
+
+struct NamedRule {
+  const char* name;
+  AxisRule apply;
+};
+
+constexpr NamedRule kNamedRules[] = {
+    {"pfs_bandwidth_gbps", set_pfs_bandwidth},
+    {"node_mtbf_years", set_node_mtbf},
+    {"interference_alpha", set_interference},
+    {"io_power_ratio", set_io_power_ratio},
+    {"power_cap_watts", set_power_cap},
+    {"bb_capacity_factor", set_bb_capacity},
+    {"bb_bandwidth_gbps", set_bb_bandwidth},
+};
+
+AxisRule named_rule(const std::string& name) {
+  for (const NamedRule& rule : kNamedRules) {
+    if (name == rule.name) return rule.apply;
+  }
+  throw Error("axis \"" + name +
+              "\" has no numeric re-application rule — named_axis supports "
+              "the built-in value axes only");
+}
+
 }  // namespace
 
 const AxisCoordinate& GridPoint::coord(const std::string& axis) const {
@@ -79,16 +126,12 @@ ExperimentSpec& ExperimentSpec::axis(
 
 ExperimentSpec& ExperimentSpec::pfs_bandwidth_axis(
     const std::vector<double>& gbps) {
-  return axis("pfs_bandwidth_gbps", gbps, [](ScenarioBuilder& b, double v) {
-    b.pfs_bandwidth(units::gb_per_s(v));
-  });
+  return axis("pfs_bandwidth_gbps", gbps, set_pfs_bandwidth);
 }
 
 ExperimentSpec& ExperimentSpec::node_mtbf_axis(
     const std::vector<double>& years) {
-  return axis("node_mtbf_years", years, [](ScenarioBuilder& b, double v) {
-    b.node_mtbf(units::years(v));
-  });
+  return axis("node_mtbf_years", years, set_node_mtbf);
 }
 
 ExperimentSpec& ExperimentSpec::seed_axis(
@@ -110,50 +153,44 @@ ExperimentSpec& ExperimentSpec::seed_axis(
 
 ExperimentSpec& ExperimentSpec::interference_axis(
     const std::vector<double>& alphas) {
-  return axis("interference_alpha", alphas, [](ScenarioBuilder& b, double v) {
-    b.interference(v == 0.0 ? InterferenceModel::kLinear
-                            : InterferenceModel::kDegrading,
-                   v);
-  });
+  return axis("interference_alpha", alphas, set_interference);
 }
 
 ExperimentSpec& ExperimentSpec::energy_axis(
     const std::vector<double>& io_to_compute_ratios) {
-  return axis("io_power_ratio", io_to_compute_ratios,
-              [](ScenarioBuilder& b, double v) { b.io_power_ratio(v); });
+  return axis("io_power_ratio", io_to_compute_ratios, set_io_power_ratio);
 }
 
 ExperimentSpec& ExperimentSpec::power_cap_axis(
     const std::vector<double>& watts) {
-  return axis("power_cap_watts", watts,
-              [](ScenarioBuilder& b, double v) { b.power_cap(v); });
+  return axis("power_cap_watts", watts, set_power_cap);
 }
 
 ExperimentSpec& ExperimentSpec::bb_capacity_axis(
     const std::vector<double>& factors) {
-  return axis("bb_capacity_factor", factors,
-              [](ScenarioBuilder& b, double v) { b.bb_capacity_factor(v); });
+  return axis("bb_capacity_factor", factors, set_bb_capacity);
 }
 
 ExperimentSpec& ExperimentSpec::bb_bandwidth_axis(
     const std::vector<double>& gbps) {
-  return axis("bb_bandwidth_gbps", gbps, [](ScenarioBuilder& b, double v) {
-    b.bb_bandwidth(units::gb_per_s(v));
-  });
+  return axis("bb_bandwidth_gbps", gbps, set_bb_bandwidth);
 }
 
 ExperimentSpec& ExperimentSpec::named_axis(const std::string& name,
                                            const std::vector<double>& values) {
-  if (name == "pfs_bandwidth_gbps") return pfs_bandwidth_axis(values);
-  if (name == "node_mtbf_years") return node_mtbf_axis(values);
-  if (name == "interference_alpha") return interference_axis(values);
-  if (name == "io_power_ratio") return energy_axis(values);
-  if (name == "power_cap_watts") return power_cap_axis(values);
-  if (name == "bb_capacity_factor") return bb_capacity_axis(values);
-  if (name == "bb_bandwidth_gbps") return bb_bandwidth_axis(values);
-  throw Error("axis \"" + name +
-              "\" has no numeric re-application rule — named_axis supports "
-              "the built-in value axes only");
+  return axis(name, values, named_rule(name));
+}
+
+ScenarioConfig ExperimentSpec::scenario_at(
+    const std::vector<std::string>& names,
+    const std::vector<double>& values) const {
+  COOPCR_CHECK(names.size() == values.size(),
+               "scenario_at needs one value per axis name");
+  ScenarioBuilder builder = base_;
+  for (std::size_t a = 0; a < names.size(); ++a) {
+    named_rule(names[a])(builder, values[a]);
+  }
+  return builder.build();
 }
 
 ExperimentSpec& ExperimentSpec::clear_axes() {

@@ -135,6 +135,15 @@ class ExperimentSpec {
   ExperimentSpec& named_axis(const std::string& name,
                              const std::vector<double>& values);
 
+  /// The base scenario with each named numeric axis applied at one value,
+  /// in the given order, built: the scenario a one-point grid of
+  /// named_axis declarations would expand to, without declaring them
+  /// (declared axes are ignored). The serve/ advisor calls this per query
+  /// on a spec it built once at ingest. Throws coopcr::Error on an axis
+  /// name named_axis rejects or when the scenario fails validation.
+  ScenarioConfig scenario_at(const std::vector<std::string>& names,
+                             const std::vector<double>& values) const;
+
   /// Drop every declared axis (base scenario, strategy set and options
   /// stay). The advisor's fallback path turns a swept registry spec into a
   /// single-point grid this way before re-declaring each axis at the query

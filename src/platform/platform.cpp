@@ -1,5 +1,7 @@
 #include "platform/platform.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace coopcr {
@@ -47,12 +49,16 @@ void PlatformSpec::validate() const {
   COOPCR_CHECK(nodes > 0, "platform '" + name + "': nodes must be positive");
   COOPCR_CHECK(cores_per_node > 0,
                "platform '" + name + "': cores_per_node must be positive");
-  COOPCR_CHECK(memory_bytes > 0.0,
-               "platform '" + name + "': memory must be positive");
-  COOPCR_CHECK(pfs_bandwidth > 0.0,
-               "platform '" + name + "': PFS bandwidth must be positive");
-  COOPCR_CHECK(node_mtbf > 0.0,
-               "platform '" + name + "': node MTBF must be positive");
+  // Finite too: an infinite bandwidth makes every transfer take zero time,
+  // so a checkpoint cycle would never move the clock.
+  COOPCR_CHECK(memory_bytes > 0.0 && std::isfinite(memory_bytes),
+               "platform '" + name + "': memory must be positive and finite");
+  COOPCR_CHECK(pfs_bandwidth > 0.0 && std::isfinite(pfs_bandwidth),
+               "platform '" + name +
+                   "': PFS bandwidth must be positive and finite");
+  COOPCR_CHECK(node_mtbf > 0.0 && std::isfinite(node_mtbf),
+               "platform '" + name +
+                   "': node MTBF must be positive and finite");
   power.validate();
 }
 

@@ -61,6 +61,29 @@ std::vector<std::string> strategy_names(const exp::LoadedPoint& point) {
   return names;
 }
 
+/// The plan of a grid with `grid`'s experiment, replica count and axes.
+AnswerPlan build_plan(const StoredGrid& grid) {
+  AnswerPlan plan;
+  plan.entry = exp::find_spec_by_experiment(grid.experiment);
+  if (plan.entry == nullptr) {
+    plan.no_periods = "experiment \"" + grid.experiment +
+                      "\" has no spec-registry entry";
+    return plan;
+  }
+  try {
+    exp::ExperimentSpec spec = plan.entry->build(std::max(1, grid.replicas));
+    // Declaring every grid axis on a scratch spec throws exactly when an
+    // axis has no named_axis rule: the scenario_at failure that no query
+    // point can avoid.
+    exp::ExperimentSpec probe;
+    for (const std::string& axis : grid.axes) probe.named_axis(axis, {});
+    plan.spec = std::move(spec);
+  } catch (const Error& e) {
+    plan.no_periods = e.what();
+  }
+  return plan;
+}
+
 std::string cell_label(const exp::LoadedPoint& point) {
   std::ostringstream os;
   for (std::size_t i = 0; i < point.coords.size(); ++i) {
@@ -160,6 +183,7 @@ void GridStore::merge(const exp::LoadedReport& report,
     grid->replicas = report.replicas;
     grid->axes = report.axes;
     grid->axis_values.resize(report.axes.size());
+    grid->plan = build_plan(*grid);
   } else {
     COOPCR_CHECK(grid->axes == report.axes,
                  "artifact " + label + ": axes of experiment \"" +

@@ -19,13 +19,33 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "exp/report_io.hpp"
+#include "exp/spec_registry.hpp"
 
 namespace coopcr::serve {
+
+/// What answering a query needs beyond a grid's cells, resolved once:
+/// GridStore builds a grid's plan when it creates the grid. The plan
+/// depends only on the experiment name, replica count and axes, which every
+/// later merge into the grid must match, so queries resolve no registry
+/// entry and build no spec of their own.
+struct AnswerPlan {
+  /// The spec-registry entry the experiment rebuilds from (fallback
+  /// campaigns and periods); nullptr when the registry has none.
+  const exp::NamedSpec* entry = nullptr;
+  /// The entry's spec built at the grid's replica count. Engaged when
+  /// checkpoint periods can be attached to answers: the entry exists and
+  /// builds, and every grid axis has a named_axis rule. A query builds one
+  /// scenario from it (ExperimentSpec::scenario_at).
+  std::optional<exp::ExperimentSpec> spec;
+  /// Why `spec` is disengaged; empty when it is engaged.
+  std::string no_periods;
+};
 
 /// One experiment's dense grid of loaded points.
 struct StoredGrid {
@@ -41,6 +61,8 @@ struct StoredGrid {
   std::vector<exp::LoadedPoint> cells;
   /// Parallel to `cells`: true when the cell has been filled.
   std::vector<bool> filled;
+  /// Built when the grid is created.
+  AnswerPlan plan;
 
   /// Product of per-axis value counts.
   std::size_t cell_count() const;

@@ -30,6 +30,28 @@ void append_estimate(std::string& out, const StrategyEstimate& e) {
   append_number(out, e.ci_halfwidth);
 }
 
+/// Widest rendering of a double at 17 digits ("-2.2250738585072014e-308").
+constexpr std::size_t kNumberChars = 24;
+
+/// The size of the rendered answer when no name needs escaping (escapes
+/// only add bytes): the fixed text, plus names and numbers at full width.
+std::size_t json_size_bound(const AdvisorAnswer& answer) {
+  std::size_t size = 160 + answer.experiment.size() + answer.metric.size() +
+                     answer.source.size() + answer.backend.size();
+  for (const auto& [axis, value] : answer.coords) {
+    size += axis.size() + 4 + kNumberChars;
+  }
+  // The best estimate is rendered twice: under "best" and in "ranking".
+  size += answer.best().strategy.size() + 48 + 3 * kNumberChars;
+  for (const StrategyEstimate& estimate : answer.ranking) {
+    size += estimate.strategy.size() + 48 + 3 * kNumberChars;
+  }
+  for (const AppPeriod& period : answer.best_periods) {
+    size += period.app.size() + 24 + kNumberChars;
+  }
+  return size;
+}
+
 }  // namespace
 
 AdvisorQuery AdvisorQuery::from_json(const std::string& text) {
@@ -47,6 +69,7 @@ AdvisorQuery AdvisorQuery::from_json(const std::string& text) {
     } else if (key == "metric") {
       query.metric = value.as_string();
     } else if (key == "coords") {
+      query.coords.reserve(value.as_object().size());
       for (const auto& [axis, coord] : value.as_object()) {
         query.coords.emplace_back(axis, coord.as_double());
       }
@@ -67,15 +90,26 @@ AdvisorQuery AdvisorQuery::from_json(const std::string& text) {
 }
 
 std::string AdvisorQuery::canonical() const {
-  std::vector<std::pair<std::string, double>> sorted = coords;
+  std::vector<const std::pair<std::string, double>*> sorted;
+  sorted.reserve(coords.size());
+  std::size_t size = 20 + experiment.size() + metric.size();
+  for (const auto& coord : coords) {
+    sorted.push_back(&coord);
+    size += coord.first.size() + 2 + kNumberChars;
+  }
   std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::string out = "experiment=" + experiment + "|metric=" + metric;
-  for (const auto& [axis, value] : sorted) {
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  std::string out;
+  out.reserve(size);
+  out += "experiment=";
+  out += experiment;
+  out += "|metric=";
+  out += metric;
+  for (const auto* coord : sorted) {
     out += '|';
-    out += axis;
+    out += coord->first;
     out += '=';
-    append_number(out, value);
+    append_number(out, coord->second);
   }
   return out;
 }
@@ -92,7 +126,11 @@ const StrategyEstimate& AdvisorAnswer::best() const {
 }
 
 std::string AdvisorAnswer::to_json() const {
-  std::string out = "{\"answer_version\":";
+  // One allocation: the cache and the client keep this string, so it is
+  // sized up front rather than grown and trimmed.
+  std::string out;
+  out.reserve(json_size_bound(*this));
+  out += "{\"answer_version\":";
   out += std::to_string(kAnswerVersion);
   out += ",\"experiment\":";
   append_quoted(out, experiment);
@@ -129,8 +167,6 @@ std::string AdvisorAnswer::to_json() const {
     out += '}';
   }
   out += "]}";
-  // The query cache and the client keep answers: drop the growth slack.
-  out.shrink_to_fit();
   return out;
 }
 

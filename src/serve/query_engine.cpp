@@ -17,14 +17,23 @@ namespace {
 /// stopping rule already uses.
 constexpr double kZ95 = 1.959963984540054;
 
-exp::Metric metric_from_name(const std::string& name) {
-  for (const exp::Metric metric : exp::all_metrics()) {
-    if (exp::metric_name(metric) == name) return metric;
+/// Position of `name` in exp::all_metrics(); throws listing the known
+/// metrics when there is none.
+std::size_t metric_index(const std::string& name) {
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const exp::Metric metric : exp::all_metrics()) {
+      names.push_back(exp::metric_name(metric));
+    }
+    return names;
+  }();
+  for (std::size_t m = 0; m < kNames.size(); ++m) {
+    if (kNames[m] == name) return m;
   }
   std::string known;
-  for (const exp::Metric metric : exp::all_metrics()) {
+  for (const std::string& metric : kNames) {
     if (!known.empty()) known += ", ";
-    known += exp::metric_name(metric);
+    known += metric;
   }
   throw Error("unknown metric \"" + name + "\" — known metrics: " + known);
 }
@@ -76,9 +85,9 @@ AdvisorAnswer QueryEngine::answer(const AdvisorQuery& query) {
     }
   }
 
-  const std::string metric =
+  const std::string& metric =
       query.metric.empty() ? options_.default_metric : query.metric;
-  metric_from_name(metric);  // validate before any work
+  const std::size_t metric_pos = metric_index(metric);  // validate first
 
   // Re-order the query coordinates into the grid's axis order; every grid
   // axis must be named exactly once and nothing else.
@@ -115,7 +124,7 @@ AdvisorAnswer QueryEngine::answer(const AdvisorQuery& query) {
   if (missing_corner) ++counters_.missing_corner;
 
   if (fallback) {
-    answer = compute(*grid, values, metric);
+    answer = compute(*grid, values, metric_pos);
     ++counters_.computed;
   } else {
     ++counters_.interpolated;
@@ -125,6 +134,7 @@ AdvisorAnswer QueryEngine::answer(const AdvisorQuery& query) {
   answer.metric = metric;
   answer.higher_is_better = metric_higher_is_better(metric);
   answer.coords.clear();
+  answer.coords.reserve(grid->axes.size());
   for (std::size_t a = 0; a < grid->axes.size(); ++a) {
     answer.coords.emplace_back(grid->axes[a], values[a]);
   }
@@ -167,8 +177,9 @@ AdvisorAnswer QueryEngine::interpolate(const StoredGrid& grid,
     double weight;
     const exp::LoadedPoint* point;
   };
-  std::vector<Corner> corners;
   const std::size_t n_axes = grid.axes.size();
+  std::vector<Corner> corners;
+  corners.reserve(std::size_t{1} << std::min<std::size_t>(n_axes, 6));
   std::vector<std::size_t> idx(n_axes);
   for (std::size_t mask = 0; mask < (std::size_t{1} << n_axes); ++mask) {
     double weight = 1.0;
@@ -187,23 +198,17 @@ AdvisorAnswer QueryEngine::interpolate(const StoredGrid& grid,
   }
 
   // Per strategy: value = Σ wᵢ·meanᵢ; corners are independent campaigns, so
-  // the interpolated mean's variance is Σ (wᵢ·seᵢ)².
-  for (const std::string& name : grid.strategies) {
+  // the interpolated mean's variance is Σ (wᵢ·seᵢ)². Ingest holds every
+  // point to the grid's strategy order, so strategy s sits at position s of
+  // every corner.
+  answer.ranking.reserve(grid.strategies.size());
+  for (std::size_t s = 0; s < grid.strategies.size(); ++s) {
     StrategyEstimate estimate;
-    estimate.strategy = name;
+    estimate.strategy = grid.strategies[s];
     double variance = 0.0;
     for (const Corner& corner : corners) {
-      const exp::LoadedStrategy* strat = nullptr;
-      for (const exp::LoadedStrategy& s : corner.point->strategies) {
-        if (s.name == name) {
-          strat = &s;
-          break;
-        }
-      }
-      COOPCR_CHECK(strat != nullptr, "grid \"" + grid.experiment +
-                                         "\" corner misses strategy \"" +
-                                         name + "\"");
-      const exp::LoadedSummary& summary = strat->metric(metric);
+      const exp::LoadedStrategy& strat = corner.point->strategies[s];
+      const exp::LoadedSummary& summary = strat.metric(metric);
       estimate.value += corner.weight * summary.candle.mean;
       variance += corner.weight * corner.weight * summary.se * summary.se;
     }
@@ -217,9 +222,8 @@ AdvisorAnswer QueryEngine::interpolate(const StoredGrid& grid,
 
 AdvisorAnswer QueryEngine::compute(const StoredGrid& grid,
                                    const std::vector<double>& values,
-                                   const std::string& metric) {
-  const exp::NamedSpec* entry =
-      exp::find_spec_by_experiment(grid.experiment);
+                                   std::size_t metric_pos) {
+  const exp::NamedSpec* entry = grid.plan.entry;
   COOPCR_CHECK(entry != nullptr,
                "query needs a fallback campaign but experiment \"" +
                    grid.experiment +
@@ -250,7 +254,7 @@ AdvisorAnswer QueryEngine::compute(const StoredGrid& grid,
   AdvisorAnswer answer;
   answer.source = "computed";
   answer.backend = executor->backend_name();
-  const exp::Metric metric_id = metric_from_name(metric);
+  const exp::Metric metric_id = exp::all_metrics()[metric_pos];
   for (const StrategyOutcome& outcome :
        report.points.front().report.outcomes) {
     const SampleSet& samples = exp::metric_samples(outcome, metric_id);
@@ -264,34 +268,27 @@ AdvisorAnswer QueryEngine::compute(const StoredGrid& grid,
     estimate.ci_halfwidth = kZ95 * estimate.se;
     answer.ranking.push_back(std::move(estimate));
   }
-  sort_ranking(answer.ranking, metric_higher_is_better(metric));
+  sort_ranking(answer.ranking,
+               metric_higher_is_better(exp::metric_name(metric_id)));
   return answer;
 }
 
 void QueryEngine::attach_best_periods(const StoredGrid& grid,
                                       const std::vector<double>& values,
                                       AdvisorAnswer& answer) const {
-  if (answer.ranking.empty()) return;
-  const exp::NamedSpec* entry =
-      exp::find_spec_by_experiment(grid.experiment);
-  if (entry == nullptr) return;
-  // Best-effort: a non-rebuildable axis or an unregistered strategy name
-  // leaves the periods out rather than failing an otherwise-good answer.
+  const AnswerPlan& plan = grid.plan;
+  if (answer.ranking.empty() || !plan.spec) return;
+  // Best-effort: an unregistered strategy name, or a scenario that fails
+  // to build at this point, leaves the periods out rather than failing an
+  // otherwise-good answer.
   try {
-    exp::ExperimentSpec spec =
-        entry->build(std::max(1, grid.replicas));
-    spec.clear_axes();
-    for (std::size_t a = 0; a < grid.axes.size(); ++a) {
-      spec.named_axis(grid.axes[a], {values[a]});
-    }
-    const std::vector<exp::GridPoint> points = spec.expand();
-    if (points.empty()) return;
     const Strategy best = strategy_from_name(answer.ranking.front().strategy);
-    const ScenarioConfig& scenario = points.front().scenario;
-    for (const ApplicationClass& app : scenario.applications) {
-      const ClassOnPlatform cls = resolve(app, scenario.platform);
+    const ScenarioConfig scenario = plan.spec->scenario_at(grid.axes, values);
+    const std::vector<ClassOnPlatform>& classes = scenario.simulation.classes;
+    answer.best_periods.reserve(classes.size());
+    for (const ClassOnPlatform& cls : classes) {
       answer.best_periods.push_back(
-          AppPeriod{app.name, best.period().period_for(cls)});
+          AppPeriod{cls.app.name, best.period().period_for(cls)});
     }
   } catch (const Error&) {
     answer.best_periods.clear();

@@ -85,9 +85,10 @@ class QueryEngine {
                             const std::vector<double>& values,
                             const std::string& metric, bool* out_of_hull,
                             bool* missing_corner) const;
+  // `metric_pos` is the metric's position in exp::all_metrics().
   AdvisorAnswer compute(const StoredGrid& grid,
                         const std::vector<double>& values,
-                        const std::string& metric);
+                        std::size_t metric_pos);
   void attach_best_periods(const StoredGrid& grid,
                            const std::vector<double>& values,
                            AdvisorAnswer& answer) const;

@@ -1,8 +1,9 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -267,7 +268,6 @@ class JsonParser {
 
   JsonValue parse_number() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
       if ((c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.' ||
@@ -277,13 +277,22 @@ class JsonParser {
         break;
       }
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    const char* begin = token.c_str();
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end != begin + token.size() || token.empty()) {
+    // std::from_chars on the text span: locale-independent, no token copy,
+    // and a leading '+' is rejected as RFC 8259 requires. A magnitude past
+    // the double range either way is an error: 1e999 is not infinity, and
+    // a non-zero 1e-400 is not silently 0 (the emitter never writes either;
+    // subnormals down to 4.9e-324 parse).
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::result_out_of_range) {
       pos_ = start;
-      fail("bad number \"" + token + "\"");
+      fail("number out of double range \"" + std::string(first, last) + "\"");
+    }
+    if (ec != std::errc() || end != last || first == last) {
+      pos_ = start;
+      fail("bad number \"" + std::string(first, last) + "\"");
     }
     JsonValue v;
     v.kind_ = JsonValue::Kind::kNumber;
@@ -296,24 +305,31 @@ class JsonParser {
 };
 
 void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
+  // Runs that need no escape (names, nearly always the whole string) are
+  // appended in one piece.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[(c >> 4) & 0xF];
+        out += kHex[c & 0xF];
+      }
     }
   }
+  out.append(s, run, s.size() - run);
 }
 
 std::string json_escaped(const std::string& s) {

@@ -8,11 +8,14 @@
 // reads it back; the container ships no JSON library, so this is a small
 // strict recursive-descent parser producing an immutable DOM. It parses
 // exactly the RFC 8259 grammar the emitter uses — objects, arrays, strings
-// with the emitter's escape set, IEEE doubles via strtod (17-digit values
-// round-trip bit-exactly), true/false/null — and throws coopcr::Error with
-// a byte offset on malformed input. Numbers are always doubles: the only
-// integers in our documents (replica counts, sample sizes, schema versions)
-// are far below 2^53.
+// with the emitter's escape set, IEEE doubles via std::from_chars (17-digit
+// values round-trip bit-exactly, whatever the C locale), true/false/null —
+// and throws coopcr::Error with a byte offset on malformed input, including
+// a number outside the double range (1e999 is an error, not infinity, and
+// a non-zero literal that would round to zero, such as 1e-400, is an error,
+// not 0; subnormals parse).
+// Numbers are always doubles: the only integers in our documents (replica
+// counts, sample sizes, schema versions) are far below 2^53.
 
 #pragma once
 

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/daly.hpp"
@@ -150,6 +151,32 @@ TEST(Simulation, DegenerateFixedPeriodBelowCommitNeverProgresses) {
   // The whole segment is checkpoint commits.
   EXPECT_NEAR(result.accounting.total(TimeCategory::kCheckpoint),
               2000.0 * 10.0, 10.0 * 25.0);
+}
+
+TEST(Simulation, CheckpointCycleBelowTheClockResolutionThrows) {
+  // A zero period and a zero-time commit (what an infinite bandwidth gave)
+  // would re-arm the checkpoint timer at the same instant forever; so would
+  // a period and a commit that are finite but below the spacing of doubles
+  // at the stop time. Both are refused before the run starts.
+  const auto instant = toy_class(10, 1000.0, 0.0, 0.0);
+  EXPECT_THROW(simulate(toy_config(instant, obl_daly()),
+                        {job_of(instant, 0, 1000.0)}, {}),
+               Error);
+  const auto tiny = toy_class(10, 1000.0, 1e-200, 1e-100);
+  try {
+    simulate(toy_config(tiny, nb_daly()), {job_of(tiny, 0, 1000.0)}, {});
+    FAIL() << "expected the cycle guard to throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("does not advance the clock"),
+              std::string::npos)
+        << e.what();
+  }
+  // Without checkpoints there is no cycle to check.
+  auto cfg = toy_config(tiny, nb_daly());
+  cfg.checkpoints_enabled = false;
+  EXPECT_EQ(simulate(cfg, {job_of(tiny, 0, 1000.0)}, {})
+                .counters.jobs_completed,
+            1u);
 }
 
 TEST(Simulation, InputAndOutputAreUsefulIo) {

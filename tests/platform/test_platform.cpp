@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -76,6 +78,26 @@ TEST(Platform, ValidateRejectsBadSpecs) {
   spec = PlatformSpec::cielo();
   spec.cores_per_node = 0;
   EXPECT_THROW(spec.validate(), Error);
+}
+
+TEST(Platform, ValidateRejectsNonFiniteRates) {
+  // 1e300 GB/s overflows to an infinite bandwidth: every transfer would
+  // take zero time.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  PlatformSpec spec = PlatformSpec::cielo();
+  spec.pfs_bandwidth = units::gb_per_s(1e300);
+  EXPECT_THROW(spec.validate(), Error);
+  spec.pfs_bandwidth = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(spec.validate(), Error);
+  spec = PlatformSpec::cielo();
+  spec.node_mtbf = kInf;
+  EXPECT_THROW(spec.validate(), Error);
+  spec = PlatformSpec::cielo();
+  spec.memory_bytes = kInf;
+  EXPECT_THROW(spec.validate(), Error);
+  spec = PlatformSpec::cielo();
+  spec.pfs_bandwidth = units::gb_per_s(1e12);  // huge but finite
+  EXPECT_NO_THROW(spec.validate());
 }
 
 }  // namespace

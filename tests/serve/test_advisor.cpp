@@ -8,6 +8,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "coopcr.hpp"
 
@@ -48,6 +49,32 @@ TEST(Advisor, RepeatedQueriesAreByteIdenticalAndServedFromCache) {
   // The engine evaluated exactly once — the second answer did no work.
   EXPECT_EQ(advisor.engine_counters().interpolated, 1u);
   EXPECT_EQ(advisor.engine_counters().computed, 0u);
+}
+
+TEST(Advisor, UnsimulatableBandwidthsAnswerWithAnError) {
+  // Out of hull, so each needs a fallback campaign. 1e300 GB/s overflows
+  // to an infinite bandwidth, 1e999 does not parse as a double, and at
+  // 1e200 the checkpoint period lies below the clock's resolution: each
+  // used to hang the advisor, and each must now fail with its own reason.
+  serve::Advisor advisor(fast_options());
+  ASSERT_TRUE(advisor.ingest_text(demo_artifact(), "demo.json"));
+  const std::pair<const char*, const char*> cases[] = {
+      {"1e300", "PFS bandwidth must be positive and finite"},
+      {"1e999", "number out of double range"},
+      {"1e200", "does not advance the clock"},
+  };
+  for (const auto& [bandwidth, reason] : cases) {
+    const std::string query =
+        std::string("{\"coords\":{\"pfs_bandwidth_gbps\":") + bandwidth +
+        ",\"interference_alpha\":0.5}}";
+    try {
+      advisor.answer_json(query);
+      ADD_FAILURE() << bandwidth << ": expected an error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+          << bandwidth << ": " << e.what();
+    }
+  }
 }
 
 TEST(Advisor, CachedFallbackDoesNotSpawnASecondCampaign) {

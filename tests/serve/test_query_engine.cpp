@@ -185,6 +185,37 @@ TEST(QueryEngine, MissingCornerFallsBack) {
   EXPECT_EQ(engine.counters().missing_corner, 1u);
 }
 
+TEST(QueryEngine, GridLeftByARejectedFirstIngestStillFallsBack) {
+  // The first artifact of the experiment fails validation (its second
+  // point lists another strategy set). The grid it created holds no cells,
+  // so a query falls back to the registry entry, and the answer carries
+  // the checkpoint periods as for any other grid.
+  std::string text = demo_artifact({40, 120}, {0.0}, 2);
+  const std::string needle = "\"Oblivious-Daly\"";
+  const std::size_t pos = text.rfind(needle);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, needle.size(), "\"Oblivious-Fixed\"");
+  serve::GridStore store;
+  try {
+    store.ingest_text(text, "mixed.json");
+    FAIL() << "expected the strategy-set check to throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("strategy set differs"),
+              std::string::npos)
+        << e.what();
+  }
+  ASSERT_EQ(store.grid_count(), 1u);
+
+  serve::EngineOptions options;
+  options.fallback_replicas = 2;
+  options.executor.threads = 1;
+  serve::QueryEngine engine(store, options);
+  const serve::AdvisorAnswer answer = engine.answer(demo_query(80, 0.5));
+  EXPECT_EQ(answer.source, "computed");
+  EXPECT_EQ(engine.counters().out_of_hull, 1u);
+  EXPECT_FALSE(answer.best_periods.empty());
+}
+
 TEST(QueryEngine, ConfidenceGateTriggersRecomputation) {
   serve::GridStore store;
   ASSERT_TRUE(store.ingest_text(demo_artifact({70, 90}, {0.0}, 2), "g.json"));
