@@ -1,7 +1,5 @@
 #include "core/accounting.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace coopcr {
@@ -49,18 +47,6 @@ Accounting::Accounting(sim::Time segment_start, sim::Time segment_end)
     : start_(segment_start), end_(segment_end) {
   COOPCR_CHECK(segment_start >= 0.0 && segment_start < segment_end,
                "invalid measurement segment");
-}
-
-void Accounting::add(std::int64_t nodes, TimeCategory category, sim::Time from,
-                     sim::Time to) {
-  COOPCR_CHECK(nodes > 0, "accounting needs a positive node count");
-  COOPCR_CHECK(category != TimeCategory::kCount, "invalid category");
-  COOPCR_CHECK(to >= from, "accounting interval reversed");
-  const sim::Time lo = std::max(from, start_);
-  const sim::Time hi = std::min(to, end_);
-  if (hi <= lo) return;
-  totals_[static_cast<std::size_t>(category)] +=
-      static_cast<double>(nodes) * (hi - lo);
 }
 
 double Accounting::total(TimeCategory category) const {

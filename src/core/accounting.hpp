@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -22,6 +23,7 @@
 
 #include "platform/platform.hpp"
 #include "sim/time.hpp"
+#include "util/error.hpp"
 
 namespace coopcr {
 
@@ -50,9 +52,19 @@ class Accounting {
   Accounting(sim::Time segment_start, sim::Time segment_end);
 
   /// Accumulate `nodes` units spending [from, to) in `category`; the
-  /// interval is clipped to the segment. `from <= to` is required.
+  /// interval is clipped to the segment. `from <= to` is required. Inline:
+  /// every simulated transfer and compute span ends in a call.
   void add(std::int64_t nodes, TimeCategory category, sim::Time from,
-           sim::Time to);
+           sim::Time to) {
+    COOPCR_CHECK(nodes > 0, "accounting needs a positive node count");
+    COOPCR_CHECK(category != TimeCategory::kCount, "invalid category");
+    COOPCR_CHECK(to >= from, "accounting interval reversed");
+    const sim::Time lo = std::max(from, start_);
+    const sim::Time hi = std::min(to, end_);
+    if (hi <= lo) return;
+    totals_[static_cast<std::size_t>(category)] +=
+        static_cast<double>(nodes) * (hi - lo);
+  }
 
   /// Unit-seconds recorded in `category`.
   double total(TimeCategory category) const;

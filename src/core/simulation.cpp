@@ -145,6 +145,13 @@ class Runner final : private RequestSink {
     bool redo = false;  ///< routine chunk re-executed after a failure
     bool bb = false;    ///< runs on the burst buffer (tiered absorb)
     bool live() const { return serial != 0; }
+    /// Drop the request. Only the fields read while no request is live are
+    /// reset; submit_request() writes every other one.
+    void clear() {
+      serial = 0;
+      id = kInvalidRequest;
+      started = sim::kTimeNever;
+    }
   };
 
   /// One absorbed-but-not-yet-durable snapshot draining through `io_`.
@@ -222,25 +229,11 @@ class Runner final : private RequestSink {
                                                 rt.cls->checkpoint_seconds);
   }
 
-  /// A checkpoint cycle — the request delay, then a commit of at least C_i —
-  /// must move the clock even at the stop time, where doubles are coarsest.
-  /// Otherwise (a zero period, or one below the clock's resolution) the
-  /// timer re-arms at the same instant forever. Checked once per class.
+  /// Refuses a run whose checkpoint timer would re-arm at the same instant
+  /// forever (see checkpoint_cycles). Checked once per class.
   void check_cycles_advance() const {
-    if (!std::isfinite(stop_time_)) return;
     for (const ClassOnPlatform& cls : cfg_.classes) {
-      const double commit = cls.checkpoint_seconds;
-      const double delay = cfg_.strategy.offset().request_delay(
-          cfg_.strategy.period().period_for(cls), commit);
-      COOPCR_CHECK(stop_time_ + delay > stop_time_ ||
-                       stop_time_ + commit > stop_time_,
-                   "class '" + cls.app.name + "' under " +
-                       cfg_.strategy.name() +
-                       ": a checkpoint cycle of " +
-                       format_number(delay + commit) +
-                       " s does not advance the clock at the stop time " +
-                       format_number(stop_time_) +
-                       " s — the period is below the clock's resolution");
+      checkpoint_cycles(cfg_.strategy, cls, stop_time_);
     }
   }
 
@@ -415,13 +408,15 @@ class Runner final : private RequestSink {
     COOPCR_ASSERT(!rt.req.live(), "job already has an outstanding request");
     ++result_.counters.io_requests;
     const std::uint64_t serial = ++req_serial_;
-    rt.req = ActiveReq{};
-    rt.req.serial = serial;
-    rt.req.kind = kind;
-    rt.req.volume = volume;
-    rt.req.submitted = engine_.now();
-    rt.req.redo = redo;
-    rt.req.bb = bb;
+    ActiveReq& req = rt.req;
+    req.serial = serial;
+    req.id = kInvalidRequest;
+    req.kind = kind;
+    req.volume = volume;
+    req.submitted = engine_.now();
+    req.started = sim::kTimeNever;
+    req.redo = redo;
+    req.bb = bb;
     IoRequest request;
     request.job = rt.job.id;
     request.kind = kind;
@@ -491,7 +486,7 @@ class Runner final : private RequestSink {
       // The job finished in the same instant the token arrived; the commit
       // is pointless — drop it and go straight to output.
       ++result_.counters.checkpoints_cancelled;
-      rt.req = ActiveReq{};
+      rt.req.clear();
       io_->abort(id);
       begin_output(rt);
       return;
@@ -515,7 +510,7 @@ class Runner final : private RequestSink {
     tr(jid, TraceKind::kIoEnd, rt.req.kind, rt.req.volume);
     const IoKind kind = rt.req.kind;
     const bool was_absorb = rt.req.bb;
-    rt.req = ActiveReq{};
+    rt.req.clear();
     switch (kind) {
       case IoKind::kInput:
       case IoKind::kRecovery:
@@ -601,7 +596,7 @@ class Runner final : private RequestSink {
       if (rt.state == JobState::kCkptWaitNb && rt.req.live()) {
         ++result_.counters.checkpoints_cancelled;
         const RequestId id = rt.req.id;
-        rt.req = ActiveReq{};
+        rt.req.clear();
         io_->cancel(id);
       }
       begin_output(rt);
@@ -822,7 +817,7 @@ class Runner final : private RequestSink {
       const RequestId id = rt.req.id;
       const bool was_absorb = rt.req.bb;
       const double volume = rt.req.volume;
-      rt.req = ActiveReq{};
+      rt.req.clear();
       if (id != kInvalidRequest) {
         (was_absorb ? *bb_io_ : *io_).abort(id);
       }
@@ -913,7 +908,7 @@ class Runner final : private RequestSink {
         // elapsed part as if it completes (the segment clip removes any
         // overhang anyway).
         account_request_end(rt, /*completed=*/true, stop);
-        rt.req = ActiveReq{};
+        rt.req.clear();
       }
     }
   }
@@ -945,6 +940,23 @@ class Runner final : private RequestSink {
 };
 
 }  // namespace
+
+double checkpoint_cycles(const StrategySpec& strategy,
+                         const ClassOnPlatform& cls, double stop_time) {
+  if (!std::isfinite(stop_time)) return stop_time;
+  const double commit = cls.checkpoint_seconds;
+  const double delay = strategy.offset().request_delay(
+      strategy.period().period_for(cls), commit);
+  // A zero period, or one below the clock's resolution at the stop time
+  // (where doubles are coarsest), would re-arm the timer at one instant.
+  COOPCR_CHECK(stop_time + delay > stop_time || stop_time + commit > stop_time,
+               "class '" + cls.app.name + "' under " + strategy.name() +
+                   ": a checkpoint cycle of " + format_number(delay + commit) +
+                   " s does not advance the clock at the stop time " +
+                   format_number(stop_time) +
+                   " s — the period is below the clock's resolution");
+  return stop_time / (delay + commit);
+}
 
 SimulationResult simulate(const SimulationConfig& config,
                           const std::vector<Job>& jobs,

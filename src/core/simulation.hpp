@@ -95,6 +95,14 @@ class SimWorkspace {
   std::unique_ptr<detail::SimWorkspaceImpl> impl_;
 };
 
+/// Checkpoint cycles (the strategy's request delay, then a commit of C_i)
+/// a job of `cls` runs before `stop_time`: stop_time / (delay + C_i). The
+/// events of a run grow with it. Throws coopcr::Error when a cycle does not
+/// advance the clock at `stop_time`: such a run would never end. Infinite
+/// when `stop_time` is.
+double checkpoint_cycles(const StrategySpec& strategy,
+                         const ClassOnPlatform& cls, double stop_time);
+
 /// Run one simulation. `jobs` is the shuffled arrival-ordered list; `failures`
 /// the pre-drawn trace (times beyond the measured horizon are ignored).
 SimulationResult simulate(const SimulationConfig& config,

@@ -135,17 +135,23 @@ void SharedChannel::reschedule() {
     Flow& flow = slots_[index];
     flow.rate = flow_rate(flow.weight);
     COOPCR_ASSERT(flow.rate > 0.0, "active flow with zero rate");
-    min_ttf = std::min(min_ttf, std::max(0.0, flow.remaining) / flow.rate);
+    flow.ttf = std::max(0.0, flow.remaining) / flow.rate;
+    min_ttf = std::min(min_ttf, flow.ttf);
   }
   // Remember every flow finishing at (or indistinguishably close to) the
   // event time: they complete *by construction* when the event fires, which
-  // makes completion immune to double rounding in rate*dt updates.
-  const double slack = 1e-9 * std::max(min_ttf, 1.0);
-  for (const std::uint32_t index : active_) {
-    const Flow& flow = slots_[index];
-    const double ttf = std::max(0.0, flow.remaining) / flow.rate;
-    if (ttf <= min_ttf + slack) {
-      expected_done_.push_back(make_flow_id(index, flow.generation));
+  // makes completion immune to double rounding in rate*dt updates. A lone
+  // flow is that flow.
+  if (active_.size() == 1) {
+    const std::uint32_t index = active_.front();
+    expected_done_.push_back(make_flow_id(index, slots_[index].generation));
+  } else {
+    const double slack = 1e-9 * std::max(min_ttf, 1.0);
+    for (const std::uint32_t index : active_) {
+      const Flow& flow = slots_[index];
+      if (flow.ttf <= min_ttf + slack) {
+        expected_done_.push_back(make_flow_id(index, flow.generation));
+      }
     }
   }
   pending_event_ = engine_.after(min_ttf, [this] { on_completion_event(); });

@@ -119,6 +119,9 @@ class SharedChannel {
     /// flow_rate(weight), stored by reschedule(): the membership that
     /// determines it only changes right before a reschedule().
     double rate = 0.0;
+    /// remaining / rate, stored by the same reschedule() pass, so picking
+    /// the flows due at the next event does not divide a second time.
+    double ttf = 0.0;
     std::uint64_t tag = 0;  ///< reported to the sink on completion
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNoSlot;

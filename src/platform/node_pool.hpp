@@ -13,9 +13,12 @@
 // every failure strike releases one and re-allocates it at once. The pool
 // therefore never touches individual nodes. The LIFO free stack is a short
 // list of runs of consecutive node indices, and an allocation is the short
-// list of runs it popped off the top. allocate() splits at most one run,
-// release() pushes the job's runs back (merging adjacent ones), and
-// owner_of() scans the few live allocations' runs. Expanding the runs gives
+// list of runs it popped off the top. Every live allocation's runs sit in
+// one flat list, each as a (lo, hi, job) node range, a job's runs adjacent
+// and in allocation order. allocate() splits at most one free run and
+// appends, release() pushes the job's runs back (merging adjacent ones) and
+// erases them, and owner_of() is one pass over the short flat list, with no
+// per-job indirection and no step test. Expanding the runs gives
 // exactly the node order of a per-node pop/push free stack, so failure
 // victims — and therefore whole simulations — match that implementation
 // bit for bit.
@@ -60,7 +63,7 @@ class NodePool {
   std::vector<std::int64_t> nodes_of(JobId job) const;
 
   /// Number of jobs currently holding allocations.
-  std::size_t job_count() const { return live_; }
+  std::size_t job_count() const { return jobs_; }
 
   /// Fraction of units currently allocated, in [0, 1].
   double utilization() const;
@@ -73,27 +76,32 @@ class NodePool {
     std::int64_t step = 1;
 
     std::int64_t last() const { return first + (len - 1) * step; }
-    bool contains(std::int64_t node) const;
   };
 
-  struct Allocation {
+  /// One run of a live allocation: nodes lo..hi, walked upwards when
+  /// step > 0 and downwards otherwise.
+  struct Held {
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
     JobId job = kNoJob;
-    std::vector<Run> runs;  ///< in allocation order
+    std::int64_t step = 1;
+
+    Held(JobId owner, const Run& run);
+    Run run() const { return Run{step > 0 ? lo : hi, hi - lo + 1, step}; }
   };
 
   /// Append `run` to `runs`, merging it into the back run when contiguous.
   static void push_run(std::vector<Run>& runs, const Run& run);
 
-  /// Index of `job`'s live allocation, or live_ when it holds none.
+  /// Index of `job`'s first held run, or held_.size() when it holds none.
   std::size_t find(JobId job) const;
 
   std::int64_t total_ = 0;
   std::int64_t free_count_ = 0;
   std::vector<Run> free_;  ///< free stack, bottom to top
-  /// The first live_ entries are the live allocations; the rest are spare
-  /// slots kept for their run-vector capacity.
-  std::vector<Allocation> allocations_;
-  std::size_t live_ = 0;
+  std::vector<Held> held_;  ///< runs of every live allocation
+  std::vector<Run> pieces_;  ///< allocate()'s scratch, kept for capacity
+  std::size_t jobs_ = 0;    ///< live allocations
 };
 
 }  // namespace coopcr

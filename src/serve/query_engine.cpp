@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/simulation.hpp"
 #include "core/strategy.hpp"
 #include "exp/report.hpp"
 #include "exp/spec_registry.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 #include "workload/app_class.hpp"
 
@@ -16,6 +18,12 @@ namespace {
 /// 95% two-sided normal quantile — the CI convention the sequential
 /// stopping rule already uses.
 constexpr double kZ95 = 1.959963984540054;
+
+/// Most checkpoint cycles per job (core checkpoint_cycles) a fallback
+/// campaign may simulate. Every registry grid point needs at most ~1.6e3;
+/// far outside a grid the count, and the campaign's run time, grows without
+/// bound (1.5e7 cycles, minutes of work, at 1e12 GB/s on the demo grid).
+constexpr double kMaxFallbackCycles = 1e5;
 
 /// Position of `name` in exp::all_metrics(); throws listing the known
 /// metrics when there is none.
@@ -233,6 +241,19 @@ AdvisorAnswer QueryEngine::compute(const StoredGrid& grid,
                            ? options_.fallback_replicas
                            : grid.replicas;
   exp::ExperimentSpec spec = entry->build(replicas);
+  // Refuse a point whose campaign would run for minutes before starting it.
+  const SimulationConfig point = spec.scenario_at(grid.axes, values).simulation;
+  const double stop_time = std::min(point.horizon, point.segment_end);
+  for (const Strategy& strategy : spec.strategy_set()) {
+    for (const ClassOnPlatform& cls : point.classes) {
+      const double cycles = checkpoint_cycles(strategy, cls, stop_time);
+      COOPCR_CHECK(cycles <= kMaxFallbackCycles,
+                   "fallback refused: class '" + cls.app.name + "' under " +
+                       strategy.name() + " runs " + format_number(cycles, 3) +
+                       " checkpoint cycles per job, above the limit of " +
+                       format_number(kMaxFallbackCycles, 3));
+    }
+  }
   spec.clear_axes();
   for (std::size_t a = 0; a < grid.axes.size(); ++a) {
     spec.named_axis(grid.axes[a], {values[a]});

@@ -4,15 +4,6 @@
 
 namespace coopcr::sim {
 
-EventId Engine::at(Time t, EventFn fn) {
-  return queue_.schedule(t, std::move(fn));
-}
-
-EventId Engine::after(Time delay, EventFn fn) {
-  COOPCR_CHECK(delay >= 0.0, "negative event delay");
-  return queue_.schedule(now_ + delay, std::move(fn));
-}
-
 bool Engine::cancel(EventId id) { return queue_.cancel(id); }
 
 void Engine::advance_to(Time t) {

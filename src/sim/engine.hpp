@@ -10,9 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
+#include "util/error.hpp"
 
 namespace coopcr::sim {
 
@@ -24,11 +26,19 @@ class Engine {
   /// Current simulation time (seconds).
   Time now() const { return now_; }
 
-  /// Schedule `fn` to run at absolute time `t` (>= now()).
-  EventId at(Time t, EventFn fn);
+  /// Schedule `fn` to run at absolute time `t` (>= now()). The callable is
+  /// forwarded to the queue and built in its slot.
+  template <typename F>
+  EventId at(Time t, F&& fn) {
+    return queue_.schedule(t, std::forward<F>(fn));
+  }
 
   /// Schedule `fn` to run `delay` seconds from now (delay >= 0).
-  EventId after(Time delay, EventFn fn);
+  template <typename F>
+  EventId after(Time delay, F&& fn) {
+    COOPCR_CHECK(delay >= 0.0, "negative event delay");
+    return queue_.schedule(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Cancel a scheduled event; no-op if already fired/cancelled.
   bool cancel(EventId id);

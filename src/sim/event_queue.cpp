@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "util/error.hpp"
@@ -67,10 +68,11 @@ void EventQueue::insert_key(Key key) const {
   const std::uint64_t day = day_of(key.time);
   if (day <= current_day_) {
     // Belongs to the serving window: sorted insert (descending, min at the
-    // back). Events scheduled at ~now land at the back — a cheap append.
-    const auto pos = std::upper_bound(
-        today_.begin(), today_.end(), key,
-        [](const Key& a, const Key& b) { return b.fires_before(a); });
+    // back). The scan runs from the back because most keys scheduled into
+    // the window fire at or just after now and stop within a few keys of
+    // it. Ids are unique, so the position is the one a binary search finds.
+    auto pos = today_.end();
+    while (pos != today_.begin() && std::prev(pos)->fires_before(key)) --pos;
     today_.insert(pos, key);
   } else {
     buckets_[static_cast<std::size_t>(day) & (bucket_count_ - 1)].push_back(
@@ -188,16 +190,10 @@ void EventQueue::rebuild() {
 
 // --- queue operations --------------------------------------------------------
 
-EventId EventQueue::schedule(Time t, EventFn fn) {
-  COOPCR_CHECK(std::isfinite(t), "event time must be finite");
-  COOPCR_CHECK(t >= now_, "cannot schedule an event in the past");
-  COOPCR_CHECK(static_cast<bool>(fn), "event callback must be callable");
-  const std::uint32_t index = acquire_slot();
+EventId EventQueue::enqueue(Time t, std::uint32_t index) {
   const EventId id =
       (next_seq_++ << kSlotBits) | static_cast<EventId>(index + 1);
-  Slot& slot = slots_[index];
-  slot.id = id;
-  slot.fn = std::move(fn);
+  slots_[index].id = id;
 
   if (bucket_count_ == 0) {
     bucket_count_ = kMinBuckets;

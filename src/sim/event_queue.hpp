@@ -33,15 +33,20 @@
 //
 //  * Events carry a `sim::InlineFn` callback: the simulator's state machine
 //    is written as plain member functions bound at schedule time, and those
-//    small captures are stored inline — zero allocation per event.
+//    small captures are built inline in the event's slab slot — zero
+//    allocation and no intermediate copy per event.
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
+#include "util/error.hpp"
 
 namespace coopcr::sim {
 
@@ -63,8 +68,11 @@ class EventQueue {
   EventQueue() = default;
 
   /// Schedule `fn` at absolute time `t`. Returns a handle for cancellation.
-  /// `t` must be finite; scheduling in the past is a caller bug and throws.
-  EventId schedule(Time t, EventFn fn);
+  /// `t` must be finite; scheduling in the past is a caller bug and throws,
+  /// as does an empty EventFn. The callable is built directly in its slab
+  /// slot (an EventFn argument is moved there).
+  template <typename F>
+  EventId schedule(Time t, F&& fn);
 
   /// Cancel a previously scheduled event. Cancelling an already-fired or
   /// already-cancelled event (a stale handle) is a safe no-op (returns
@@ -138,6 +146,8 @@ class EventQueue {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
+  /// Give the filled slot `index` a fresh id and file its key at `t`.
+  EventId enqueue(Time t, std::uint32_t index);
 
   /// Exact integer day index of a timestamp — the one ordering primitive
   /// every calendar decision shares.
@@ -171,5 +181,22 @@ class EventQueue {
   std::uint64_t next_seq_ = 1;
   Time now_ = 0.0;
 };
+
+template <typename F>
+EventId EventQueue::schedule(Time t, F&& fn) {
+  COOPCR_CHECK(std::isfinite(t), "event time must be finite");
+  COOPCR_CHECK(t >= now_, "cannot schedule an event in the past");
+  if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+    COOPCR_CHECK(static_cast<bool>(fn), "event callback must be callable");
+  }
+  const std::uint32_t index = acquire_slot();
+  try {
+    slots_[index].fn.emplace(std::forward<F>(fn));
+  } catch (...) {
+    release_slot(index);  // a boxed capture failed to allocate
+    throw;
+  }
+  return enqueue(t, index);
+}
 
 }  // namespace coopcr::sim

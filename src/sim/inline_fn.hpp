@@ -17,9 +17,11 @@
 // The I/O path does not use it: SharedChannel and IoSubsystem report
 // completions to one typed sink per instance with a 64-bit tag (see
 // io/channel.hpp), because a per-request callable cost several moves and
-// an indirect call per hop. Events keep InlineFunction: each event's
-// callable is built once and invoked once, and building it in place in the
-// slot measured no faster.
+// an indirect call per hop. Events keep InlineFunction, and the event queue
+// builds each callable directly in its slab slot with emplace(): passing a
+// by-value InlineFunction instead wrote the capture to the stack and read
+// it back with a wider load the CPU could not forward from the narrower
+// stores, the single hottest instruction of a strategy run.
 //
 // Relocation rule: an inline capture that is trivially copyable (every
 // engine capture — `[this, jid]`, `[this, jid, target]` and the like) has
@@ -55,12 +57,7 @@ class InlineFunction<R(Args...), Capacity> {
                 !std::is_same_v<std::decay_t<F>, InlineFunction> &&
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineFunction(F&& fn) {  // NOLINT(runtime/explicit)
-    using Decayed = std::decay_t<F>;
-    using Ops = std::conditional_t<fits_inline<Decayed>(), InlineOps<Decayed>,
-                                   BoxedOps<Decayed>>;
-    Ops::construct(storage_, std::forward<F>(fn));
-    invoke_ = &Ops::invoke;
-    if constexpr (!relocates_bytewise<Decayed>()) manage_ = &Ops::manage;
+    construct(std::forward<F>(fn));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
@@ -76,6 +73,25 @@ class InlineFunction<R(Args...), Capacity> {
   InlineFunction& operator=(std::nullptr_t) noexcept {
     destroy();
     return *this;
+  }
+
+  /// Replace the held callable with `fn`, built directly in this object's
+  /// storage: no temporary InlineFunction, no second copy of the capture.
+  /// Passing an InlineFunction moves it in. If building `fn` throws (a
+  /// boxed capture's allocation), this function is left empty.
+  template <typename F,
+            typename = std::enable_if_t<
+                std::is_same_v<std::decay_t<F>, InlineFunction> ||
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  void emplace(F&& fn) {
+    destroy();
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "InlineFunction is move-only: emplace(std::move(fn))");
+      move_from(fn);
+    } else {
+      construct(std::forward<F>(fn));
+    }
   }
 
   InlineFunction(const InlineFunction&) = delete;
@@ -143,6 +159,17 @@ class InlineFunction<R(Args...), Capacity> {
       }
     }
   };
+
+  /// Build `fn` in storage_; the caller guarantees this object is empty.
+  template <typename F>
+  void construct(F&& fn) {
+    using Decayed = std::decay_t<F>;
+    using Ops = std::conditional_t<fits_inline<Decayed>(), InlineOps<Decayed>,
+                                   BoxedOps<Decayed>>;
+    Ops::construct(storage_, std::forward<F>(fn));
+    invoke_ = &Ops::invoke;
+    if constexpr (!relocates_bytewise<Decayed>()) manage_ = &Ops::manage;
+  }
 
   void move_from(InlineFunction& other) noexcept {
     invoke_ = other.invoke_;

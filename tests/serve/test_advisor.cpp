@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -75,6 +76,29 @@ TEST(Advisor, UnsimulatableBandwidthsAnswerWithAnError) {
           << bandwidth << ": " << e.what();
     }
   }
+}
+
+TEST(Advisor, FallbackOverTheCycleLimitAnswersWithAnError) {
+  // At 1e12 GB/s a checkpoint costs next to nothing, so the Daly period
+  // shrinks until a job would run ~1.5e7 checkpoint cycles: a campaign of
+  // minutes. The engine must refuse it before running anything, naming
+  // the class, the strategy, the count and the limit.
+  serve::Advisor advisor(fast_options());
+  ASSERT_TRUE(advisor.ingest_text(demo_artifact(), "demo.json"));
+  try {
+    advisor.answer_json(
+        "{\"coords\":{\"pfs_bandwidth_gbps\":1e12,"
+        "\"interference_alpha\":0.5}}");
+    ADD_FAILURE() << "expected an error";
+  } catch (const Error& e) {
+    const std::regex reason(
+        "fallback refused: class '[A-Za-z]+' under [A-Za-z-]+ runs "
+        "[0-9.]+e\\+07 checkpoint cycles per job, above the limit of "
+        "1e\\+05");
+    EXPECT_TRUE(std::regex_search(std::string(e.what()), reason))
+        << e.what();
+  }
+  EXPECT_EQ(advisor.engine_counters().computed, 0u);
 }
 
 TEST(Advisor, CachedFallbackDoesNotSpawnASecondCampaign) {

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -105,8 +110,21 @@ TEST(EventQueue, RejectsNonFiniteTime) {
 }
 
 TEST(EventQueue, RejectsEmptyCallback) {
+  // Refused before a slot is taken.
   EventQueue q;
-  EXPECT_THROW(q.schedule(1.0, EventFn{}), Error);
+  q.schedule(1.0, [] {});
+  const std::size_t slots = q.slab_slots();
+  EXPECT_THROW(q.schedule(2.0, EventFn{}), Error);
+  EXPECT_EQ(q.slab_slots(), slots);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.total_scheduled(), 1u);
+  // A non-empty EventFn is moved into its slot.
+  bool fired = false;
+  EventFn fn = [&fired] { fired = true; };
+  q.schedule(3.0, std::move(fn));
+  EXPECT_FALSE(static_cast<bool>(fn));  // NOLINT(bugprone-use-after-move)
+  while (!q.empty()) q.pop().fn();
+  EXPECT_TRUE(fired);
 }
 
 TEST(EventQueue, PopOnEmptyThrows) {
@@ -334,6 +352,126 @@ TEST(EventQueue, SlabGrowthKeepsEveryLiveCallback) {
     ASSERT_EQ(fired[k], cancelled[k] ? 0 : 1) << "event " << i;
   }
   EXPECT_EQ(probe.use_count(), 1);
+}
+
+TEST(EventQueue, MatchesAnOrderedSetReference) {
+  // Differential run against std::set on (time, id). Most times cluster at
+  // now and just after it, so inserts into the serving window land at every
+  // depth from its back; others fall in later days or far ahead. Phases
+  // that grow the population, cancel most of it and drain it force
+  // rebuilds in both directions while cancels and pops interleave.
+  // Callbacks mix trivially copyable, non-trivially-copyable (shared_ptr)
+  // and boxed (oversized) captures, all built in their slots; each one
+  // reports which event it belongs to when it runs.
+  EventQueue q;
+  std::set<std::pair<Time, EventId>> ref;
+  std::vector<std::pair<Time, EventId>> scheduled;  // by schedule order
+  auto probe = std::make_shared<int>(0);
+  long shared_live = 0;
+  std::vector<bool> holds_probe;
+  std::size_t ran = scheduled.size();  // serial of the last callback run
+  std::uint64_t x = 2024;
+  const auto next = [&x](std::uint64_t n) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return (x >> 33) % n;
+  };
+  Time now = 0.0;
+  const auto pick_time = [&]() -> Time {
+    switch (next(8)) {
+      case 0:
+      case 1:
+        return now;  // ties with now: the very back of the window
+      case 2:
+      case 3:
+      case 4:
+        return now + 1e-3 * static_cast<double>(next(32));  // just after
+      case 5:
+      case 6:
+        return now + static_cast<double>(next(1000)) / 7.0;  // later days
+      default:
+        return now + 1e4 + static_cast<double>(next(100000));  // far ahead
+    }
+  };
+  const auto schedule_one = [&] {
+    const Time t = pick_time();
+    const std::size_t serial = scheduled.size();
+    EventId id = kInvalidEventId;
+    switch (serial % 3) {
+      case 0:
+        id = q.schedule(t, [&ran, serial] { ran = serial; });
+        break;
+      case 1:
+        id = q.schedule(t, [&ran, serial, probe] {
+          ran = serial + static_cast<std::size_t>(*probe);
+        });
+        ++shared_live;
+        break;
+      default: {
+        std::array<std::size_t, 12> big{};  // over the inline capacity
+        big[11] = serial;
+        id = q.schedule(t, [&ran, big] { ran = big[11]; });
+        break;
+      }
+    }
+    holds_probe.push_back(serial % 3 == 1);
+    scheduled.emplace_back(t, id);
+    ref.emplace(t, id);
+  };
+  const auto serial_of = [&](EventId id) {
+    for (std::size_t s = scheduled.size(); s-- > 0;) {
+      if (scheduled[s].second == id) return s;
+    }
+    return scheduled.size();
+  };
+  const auto pop_one = [&] {
+    ASSERT_FALSE(ref.empty());
+    ASSERT_EQ(q.next_time(), ref.begin()->first);
+    auto fired = q.pop();
+    ASSERT_EQ(std::make_pair(fired.time, fired.id), *ref.begin());
+    ref.erase(ref.begin());
+    now = fired.time;
+    q.set_now(now);
+    fired.fn();
+    const std::size_t serial = serial_of(fired.id);
+    ASSERT_EQ(ran, serial);
+    if (holds_probe[serial]) --shared_live;
+  };
+  const auto cancel_one = [&] {
+    if (scheduled.empty()) return;
+    // Mostly recent handles (likely live), sometimes any (likely stale).
+    const std::size_t n = scheduled.size();
+    const std::size_t serial =
+        next(4) == 0 ? next(n) : n - 1 - next(std::min<std::size_t>(n, 64));
+    const auto& [t, id] = scheduled[serial];
+    const bool live = ref.erase({t, id}) == 1;
+    ASSERT_EQ(q.cancel(id), live) << "serial " << serial;
+    if (live && holds_probe[serial]) --shared_live;
+  };
+  // {schedule, cancel} percentages per phase; pops take the rest.
+  const int phases[][2] = {{70, 10}, {30, 60}, {60, 10}, {10, 20},
+                           {70, 25}, {20, 10}, {50, 25}, {5, 5}};
+  for (const auto& [p_schedule, p_cancel] : phases) {
+    for (int step = 0; step < 4000; ++step) {
+      const auto r = static_cast<int>(next(100));
+      if (r < p_schedule) {
+        schedule_one();
+      } else if (r < p_schedule + p_cancel) {
+        cancel_one();
+      } else if (!ref.empty()) {
+        pop_one();
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(probe.use_count(), shared_live + 1);
+    }
+  }
+  while (!ref.empty()) {
+    pop_one();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(probe.use_count(), 1);
+  EXPECT_EQ(q.total_scheduled(), scheduled.size());
 }
 
 }  // namespace

@@ -242,5 +242,24 @@ TEST(InlineFunction, MovedFromFunctionIsEmpty) {
   EXPECT_FALSE(static_cast<bool>(empty));
 }
 
+TEST(InlineFunction, EmplaceReplacesTheHeldCallable) {
+  auto old_state = std::make_shared<int>(1);
+  auto new_state = std::make_shared<int>(2);
+  std::array<double, 16> big{};
+  big[0] = 3.0;
+  Fn fn = [old_state] { return *old_state; };
+  fn.emplace([new_state] { return *new_state; });
+  EXPECT_EQ(old_state.use_count(), 1);  // the previous capture is destroyed
+  EXPECT_EQ(new_state.use_count(), 2);  // the new one is held, not copied
+  EXPECT_EQ(fn(), 2);
+  fn.emplace([big] { return static_cast<int>(big[0]); });  // boxed
+  EXPECT_EQ(new_state.use_count(), 1);
+  EXPECT_EQ(fn(), 3);
+  Fn other = [] { return 4; };
+  fn.emplace(std::move(other));  // an InlineFunction is moved in
+  EXPECT_FALSE(static_cast<bool>(other));  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(fn(), 4);
+}
+
 }  // namespace
 }  // namespace coopcr::sim
