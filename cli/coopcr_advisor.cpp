@@ -53,36 +53,6 @@ void usage(std::ostream& os) {
         "  --list             print the ingested grids and exit\n";
 }
 
-int int_arg(const std::string& flag, const char* value) {
-  COOPCR_CHECK(value != nullptr, flag + " needs a value");
-  try {
-    std::size_t used = 0;
-    const int parsed = std::stoi(value, &used);
-    COOPCR_CHECK(used == std::string(value).size() && parsed >= 0,
-                 flag + ": bad value \"" + value + "\"");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error(flag + ": bad value \"" + std::string(value) + "\"");
-  }
-}
-
-double double_arg(const std::string& flag, const char* value) {
-  COOPCR_CHECK(value != nullptr, flag + " needs a value");
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    COOPCR_CHECK(used == std::string(value).size() && parsed >= 0.0,
-                 flag + ": bad value \"" + value + "\"");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error(flag + ": bad value \"" + std::string(value) + "\"");
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,39 +64,38 @@ int main(int argc, char** argv) {
 
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      const char* next = (i + 1 < argc) ? argv[i + 1] : nullptr;
+      // The value of a flag that takes one; consumes it.
+      const auto value = [&]() -> std::string {
+        COOPCR_CHECK(i + 1 < argc, arg + " needs a value");
+        return argv[++i];
+      };
       if (arg == "--ingest") {
-        COOPCR_CHECK(next, "--ingest needs a value");
-        ingest_paths.push_back(next);
-        ++i;
+        ingest_paths.push_back(value());
       } else if (arg == "--metric") {
-        COOPCR_CHECK(next, "--metric needs a value");
-        options.engine.default_metric = next;
-        ++i;
+        options.engine.default_metric = value();
       } else if (arg == "--max-ci") {
-        options.engine.max_ci_halfwidth = double_arg(arg, next);
-        ++i;
+        options.engine.max_ci_halfwidth = env::parse_double(value(), arg, 0.0);
       } else if (arg == "--replicas") {
-        options.engine.fallback_replicas = int_arg(arg, next);
-        ++i;
+        options.engine.fallback_replicas = env::parse_int(value(), arg, 0);
       } else if (arg == "--target-ci") {
-        options.engine.fallback_target_ci = double_arg(arg, next);
-        ++i;
+        options.engine.fallback_target_ci =
+            env::parse_double(value(), arg, 0.0);
       } else if (arg == "--backend") {
-        COOPCR_CHECK(next, "--backend needs a value");
-        options.engine.executor.backend = exp::executor_backend_from_name(next);
-        ++i;
+        const std::string name = value();
+        COOPCR_CHECK(name == "inprocess" || name == "in-process" ||
+                         name == "dist",
+                     "--backend: unknown backend \"" + name +
+                         "\" — expected inprocess or dist");
+        options.engine.executor.backend = name == "dist"
+                                              ? exp::ExecutorBackend::kDist
+                                              : exp::ExecutorBackend::kInProcess;
       } else if (arg == "--shards") {
-        options.engine.executor.shards = int_arg(arg, next);
-        COOPCR_CHECK(options.engine.executor.shards >= 1,
-                     "--shards must be >= 1");
-        ++i;
+        options.engine.executor.shards = env::parse_int(value(), arg, 1);
       } else if (arg == "--threads") {
-        options.engine.executor.threads = int_arg(arg, next);
-        ++i;
+        options.engine.executor.threads = env::parse_int(value(), arg, 0);
       } else if (arg == "--cache") {
-        options.cache_capacity = static_cast<std::size_t>(int_arg(arg, next));
-        ++i;
+        options.cache_capacity =
+            static_cast<std::size_t>(env::parse_int(value(), arg, 0));
       } else if (arg == "--serve") {
         serve_mode = true;
       } else if (arg == "--list") {
@@ -175,8 +144,12 @@ int main(int argc, char** argv) {
     std::string line;
     while (std::getline(std::cin, line)) {
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+      // Error answers carry message(), never the source location, so the
+      // same query answers the same bytes from any checkout.
       try {
         std::cout << advisor.answer_json(line) << "\n";
+      } catch (const Error& e) {
+        std::cout << "{\"error\":\"" << json_escaped(e.message()) << "\"}\n";
       } catch (const std::exception& e) {
         std::cout << "{\"error\":\"" << json_escaped(e.what()) << "\"}\n";
       }

@@ -20,8 +20,9 @@
 //   coopcr_sweep $args --resume --out artifacts/
 //
 // --exec-workers spawns workers by re-executing this binary with --worker
-// (they rebuild the spec from their own command line and the coordinator
-// verifies the spec digest) instead of forking the coordinator's image —
+// and the coordinator's own flags (they rebuild the spec from that command
+// line and the coordinator verifies the spec digest) instead of forking the
+// coordinator's image —
 // the mode a future multi-host launcher would use.
 //
 // Env knobs (flags win): COOPCR_SHARDS, COOPCR_JOURNAL, COOPCR_REPLICAS,
@@ -87,36 +88,6 @@ void usage(std::ostream& os) {
         "  --worker           internal: serve units on fds 3/4\n";
 }
 
-int int_arg(const std::string& flag, const char* value) {
-  COOPCR_CHECK(value != nullptr, flag + " needs a value");
-  try {
-    std::size_t used = 0;
-    const int parsed = std::stoi(value, &used);
-    COOPCR_CHECK(used == std::string(value).size() && parsed >= 0,
-                 flag + ": bad value \"" + value + "\"");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error(flag + ": bad value \"" + std::string(value) + "\"");
-  }
-}
-
-double double_arg(const std::string& flag, const char* value) {
-  COOPCR_CHECK(value != nullptr, flag + " needs a value");
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    COOPCR_CHECK(used == std::string(value).size() && parsed >= 0.0,
-                 flag + ": bad value \"" + value + "\"");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error(flag + ": bad value \"" + std::string(value) + "\"");
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,26 +116,21 @@ int main(int argc, char** argv) {
 
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      const char* next = (i + 1 < argc) ? argv[i + 1] : nullptr;
+      // The value of a flag that takes one; consumes it.
+      const auto value = [&]() -> std::string {
+        COOPCR_CHECK(i + 1 < argc, arg + " needs a value");
+        return argv[++i];
+      };
       if (arg == "--spec") {
-        COOPCR_CHECK(next, "--spec needs a value");
-        spec_name = next;
-        ++i;
+        spec_name = value();
       } else if (arg == "--replicas") {
-        replicas = int_arg(arg, next);
-        COOPCR_CHECK(replicas >= 1, "--replicas must be >= 1");
-        ++i;
+        replicas = env::parse_int(value(), arg, 1);
       } else if (arg == "--shards") {
-        shards = int_arg(arg, next);
-        ++i;
+        shards = env::parse_int(value(), arg, 0);
       } else if (arg == "--journal") {
-        COOPCR_CHECK(next, "--journal needs a value");
-        journal = next;
-        ++i;
+        journal = value();
       } else if (arg == "--out") {
-        COOPCR_CHECK(next, "--out needs a value");
-        out_dir = next;
-        ++i;
+        out_dir = value();
       } else if (arg == "--resume") {
         resume = true;
       } else if (arg == "--exec-workers") {
@@ -174,33 +140,22 @@ int main(int argc, char** argv) {
       } else if (arg == "--control-variate") {
         control_variate = true;
       } else if (arg == "--target-ci") {
-        target_ci = double_arg(arg, next);
-        ++i;
+        target_ci = env::parse_double(value(), arg, 0.0);
       } else if (arg == "--max-replicas") {
-        max_replicas = int_arg(arg, next);
-        ++i;
+        max_replicas = env::parse_int(value(), arg, 0);
       } else if (arg == "--contrast") {
-        COOPCR_CHECK(next, "--contrast needs a value");
-        contrast = next;
-        ++i;
+        contrast = value();
       } else if (arg == "--strata-bins") {
-        strata_bins = int_arg(arg, next);
-        ++i;
+        strata_bins = env::parse_int(value(), arg, 0);
       } else if (arg == "--strata-feature") {
-        COOPCR_CHECK(next, "--strata-feature needs a value");
-        strata_feature = next;
-        ++i;
+        strata_feature = value();
       } else if (arg == "--respawn") {
-        max_respawns = int_arg(arg, next);
-        ++i;
+        max_respawns = env::parse_int(value(), arg, 0);
       } else if (arg == "--heartbeat-ms") {
-        heartbeat_ms = int_arg(arg, next);
-        ++i;
+        heartbeat_ms = env::parse_int(value(), arg, 0);
       } else if (arg == "--fault-plan") {
-        COOPCR_CHECK(next, "--fault-plan needs a value");
-        fault_plan_text = next;
+        fault_plan_text = value();
         fault_plan_knob = "--fault-plan";
-        ++i;
       } else if (arg == "--worker") {
         worker_mode = true;
       } else if (arg == "--list-specs") {
@@ -235,8 +190,8 @@ int main(int argc, char** argv) {
     }
 
     if (worker_mode) {
-      // Exec-mode worker: rebuilt the spec above from --spec/--replicas;
-      // serve units on the fixed pipe fds until shutdown.
+      // Exec-mode worker: rebuilt the spec above from the coordinator's
+      // own flags; serve units on the fixed pipe fds until shutdown.
       dist::worker_serve(spec, dist::kWorkerInFd, dist::kWorkerOutFd);
       return 0;
     }
@@ -278,36 +233,13 @@ int main(int argc, char** argv) {
             dist::FaultPlan::parse(fault_plan_text, fault_plan_knob));
       }
       if (exec_workers) {
-        options.worker_command = {argv[0], "--worker", "--spec", spec_name,
-                                  "--replicas", std::to_string(replicas)};
-        // Forward the options the spec digest covers, so an exec worker
-        // rebuilds the exact same campaign shape.
-        if (antithetic) options.worker_command.push_back("--antithetic");
-        if (control_variate) {
-          options.worker_command.push_back("--control-variate");
-        }
-        if (target_ci > 0.0) {
-          options.worker_command.push_back("--target-ci");
-          // Round-trip formatting: the spec digest folds the exact bit
-          // pattern, so the worker must parse back the identical double.
-          options.worker_command.push_back(format_number(target_ci));
-        }
-        if (max_replicas > 0) {
-          options.worker_command.push_back("--max-replicas");
-          options.worker_command.push_back(std::to_string(max_replicas));
-        }
-        if (!contrast.empty()) {
-          options.worker_command.push_back("--contrast");
-          options.worker_command.push_back(contrast);
-        }
-        if (strata_bins > 0) {
-          options.worker_command.push_back("--strata-bins");
-          options.worker_command.push_back(std::to_string(strata_bins));
-        }
-        if (!strata_feature.empty()) {
-          options.worker_command.push_back("--strata-feature");
-          options.worker_command.push_back(strata_feature);
-        }
+        // The worker gets this command line and environment verbatim, so
+        // it rebuilds the exact same spec; the flags only a coordinator
+        // uses are parsed and then ignored, since worker mode returns
+        // before it reads them.
+        options.worker_command = {argv[0], "--worker"};
+        options.worker_command.insert(options.worker_command.end(), argv + 1,
+                                      argv + argc);
       }
     }
     std::unique_ptr<exp::SweepExecutor> executor =

@@ -11,7 +11,6 @@
 #include "sim/engine.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace coopcr {
 

@@ -27,13 +27,6 @@ namespace coopcr::dist {
 
 namespace {
 
-/// A frame held back by a kDelayFrame fault; delivered once `rounds` poll
-/// rounds have elapsed.
-struct DelayedFrame {
-  Frame frame;
-  int rounds = 0;
-};
-
 /// Coordinator-side view of one worker process.
 struct Worker {
   int index = 0;  ///< spawn order (fault-plan worker numbering)
@@ -45,9 +38,8 @@ struct Worker {
   bool draining = false;  ///< shrinking: finish the in-flight unit, then retire
   std::optional<UnitMsg> inflight;  ///< dispatched, result not yet seen
   FrameBuffer buffer;
-  int frames_seen = 0;  ///< inbound frames popped (frame-fault trigger)
+  int frames_seen = 0;  ///< inbound frames popped (drop trigger)
   int units_dispatched = 0;  ///< units handed out (stall trigger)
-  std::vector<DelayedFrame> delayed;
   std::chrono::steady_clock::time_point last_heard;  ///< heartbeat clock
 };
 
@@ -114,10 +106,13 @@ void on_shrink_signal(int) { g_shrink_signals = g_shrink_signals + 1; }
 
 /// Installs the resize signal handlers for the duration of a run (without
 /// SA_RESTART, so a signal wakes the poll loop) and restores the previous
-/// dispositions on exit.
+/// dispositions on exit. The counters are process-global and outlive the
+/// run, so the guard takes them as a baseline when it installs: a signal
+/// an earlier run left unconsumed never resizes this one.
 class ResizeSignalGuard {
  public:
-  ResizeSignalGuard() {
+  ResizeSignalGuard()
+      : grow_seen_(g_grow_signals), shrink_seen_(g_shrink_signals) {
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
     ::sigemptyset(&sa.sa_mask);
@@ -131,7 +126,20 @@ class ResizeSignalGuard {
     ::sigaction(SIGUSR2, &old_shrink_, nullptr);
   }
 
+  /// Net fleet-size change (grows minus shrinks) signalled since the last
+  /// call, or since the guard was installed.
+  int take_delta() {
+    const int grow = g_grow_signals;
+    const int shrink = g_shrink_signals;
+    const int delta = (grow - grow_seen_) - (shrink - shrink_seen_);
+    grow_seen_ = grow;
+    shrink_seen_ = shrink;
+    return delta;
+  }
+
  private:
+  int grow_seen_;
+  int shrink_seen_;
   struct sigaction old_grow_;
   struct sigaction old_shrink_;
 };
@@ -279,8 +287,6 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   std::deque<Worker> workers;
   FleetGuard guard(workers);
   ResizeSignalGuard signal_guard;
-  int grow_signals_seen = 0;
-  int shrink_signals_seen = 0;
 
   int respawns_left = options_.max_respawns;
 
@@ -386,11 +392,11 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   // A worker died, or is condemned (hung, or its stream cut): kill and reap
   // it, requeue its in-flight unit, top the fleet back up, and hand work to
   // whoever is idle. Buffered complete frames were already drained by the
-  // caller, so anything still in flight truly never completed; held-back
-  // delayed frames die with the stream that produced them.
+  // caller, so anything still in flight truly never completed. A dead
+  // worker is never polled again and its index is never reused, so
+  // whatever is left in its frame buffer is never read.
   auto handle_death = [&](Worker& w) {
     kill_and_reap(w);
-    w.delayed.clear();
     if (w.inflight) {
       pending.push_front(*w.inflight);
       w.inflight.reset();
@@ -513,14 +519,8 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     // and handle whatever completes. Runs until every unit is accounted for.
     while (outstanding > 0) {
       // Operator resize signals accumulated since the last round.
-      {
-        const int grow = static_cast<int>(g_grow_signals);
-        const int shrink = static_cast<int>(g_shrink_signals);
-        const int delta =
-            (grow - grow_signals_seen) - (shrink - shrink_signals_seen);
-        grow_signals_seen = grow;
-        shrink_signals_seen = shrink;
-        if (delta != 0) do_resize(target_shards + delta);
+      if (const int delta = signal_guard.take_delta(); delta != 0) {
+        do_resize(target_shards + delta);
       }
 
       // Heartbeat deadline: a worker with a unit in flight that has been
@@ -535,34 +535,14 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
         }
       }
 
-      // Deliver delayed frames whose hold expired.
-      for (Worker& w : workers) {
-        if (!w.alive || w.delayed.empty()) continue;
-        std::size_t i = 0;
-        while (i < w.delayed.size()) {
-          if (--w.delayed[i].rounds > 0) {
-            ++i;
-            continue;
-          }
-          const Frame held = std::move(w.delayed[i].frame);
-          w.delayed.erase(w.delayed.begin() + static_cast<std::ptrdiff_t>(i));
-          handle_frame(w, held);
-          if (!w.alive || outstanding == 0) break;
-        }
-        if (outstanding == 0) break;
-      }
-      if (outstanding == 0) break;
-
       grow(/*respawn=*/true);
 
       std::vector<struct pollfd> fds;
       std::vector<std::size_t> owner;
-      bool any_delayed = false;
       for (std::size_t i = 0; i < workers.size(); ++i) {
         if (!workers[i].alive) continue;
         fds.push_back(pollfd{workers[i].from_fd, POLLIN, 0});
         owner.push_back(i);
-        if (!workers[i].delayed.empty()) any_delayed = true;
       }
       COOPCR_CHECK(
           !fds.empty(),
@@ -572,10 +552,9 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
               (journal ? " — completed units are journaled, resume to continue"
                        : ""));
 
+      // Wake on I/O, a signal, or the earliest heartbeat deadline.
       int timeout = -1;
-      if (any_delayed) {
-        timeout = 1;  // held frames advance one round per poll wakeup
-      } else if (options_.heartbeat_ms > 0) {
+      if (options_.heartbeat_ms > 0) {
         for (const Worker& w : workers) {
           if (!w.alive || !w.inflight) continue;
           const int remaining =
@@ -608,24 +587,10 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
         // send before dying must count before its death requeues anything.
         bool stream_cut = false;
         while (std::optional<Frame> frame = w.buffer.next()) {
-          ++w.frames_seen;
-          const FaultAction fault =
-              plan.take_frame_fault(w.index, w.frames_seen);
-          if (fault.fired) {
-            if (fault.kind == FaultKind::kDelayFrame) {
-              w.delayed.push_back(
-                  DelayedFrame{std::move(*frame), fault.delay_rounds});
-              continue;
-            }
-            // Drop or truncate: the bytes are discarded and the stream past
-            // them cannot be trusted, so the worker is killed; its in-flight
-            // unit re-runs (bit-identically) elsewhere.
-            if (fault.kind == FaultKind::kTruncateFrame) {
-              // Leave the torn remainder in the buffer, as a real
-              // mid-frame cut would.
-              const std::uint8_t torn[3] = {0x08, 0x00, 0x00};
-              w.buffer.feed(torn, sizeof(torn));
-            }
+          // A dropped frame's bytes are discarded and the stream past them
+          // cannot be trusted, so the worker is killed; its in-flight unit
+          // re-runs (bit-identically) elsewhere.
+          if (plan.take_drop(w.index, ++w.frames_seen)) {
             handle_death(w);
             stream_cut = true;
             break;

@@ -47,54 +47,9 @@
 
 namespace coopcr::dist {
 
-/// Execution options for a distributed sweep.
-struct DistOptions {
-  /// Worker process count. COOPCR_SHARDS is the conventional env knob
-  /// (cli/coopcr_sweep.cpp); at most one worker per pending unit is
-  /// actually spawned.
-  int shards = 2;
-
-  /// Campaign journal path; empty disables journaling (the sweep is then
-  /// not resumable). A fresh run refuses to overwrite an existing journal;
-  /// set `resume` to continue it instead.
-  std::string journal;
-
-  /// Replay `journal` before dispatching: completed units are installed
-  /// from the journal and only the missing ones run. The journal header
-  /// must match this spec's digest, dimensions and code version.
-  bool resume = false;
-
-  /// Worker launch command (fork+exec). Empty forks the current process —
-  /// the worker inherits the spec, which is why specs never need
-  /// serialising. When set, the command must start a process that rebuilds
-  /// the same spec and calls worker_serve on kWorkerInFd/kWorkerOutFd
-  /// (coopcr_sweep --worker does); the coordinator verifies the worker's
-  /// digest before dispatching.
-  std::vector<std::string> worker_command;
-
-  /// Respawn budget: how many replacement workers may be spawned over the
-  /// whole run to keep the fleet at target strength after deaths
-  /// (including heartbeat kills and fault-plan casualties). 0 keeps the
-  /// historical requeue-to-survivors behaviour.
-  int max_respawns = 0;
-
-  /// > 0: a worker with a unit in flight that has been silent this many
-  /// milliseconds is presumed hung, SIGKILLed, and its unit re-queued
-  /// (respawning within budget). 0 disables the deadline, and then a
-  /// fault plan that stalls a worker is refused.
-  int heartbeat_ms = 0;
-
-  /// Scripted faults and fleet resizes (see dist/fault_injection.hpp):
-  /// worker kills, frame drops, stalls (SIGSTOP at dispatch; needs
-  /// heartbeat_ms), journal damage, coordinator
-  /// interrupts (`interrupt=N` aborts after N fresh results) and elastic
-  /// resizes (`resize=S@N`; shrinking drains busy workers, growing spawns
-  /// immediately, and SIGUSR1/SIGUSR2 adjust the fleet by ±1 on top). The
-  /// hook seam is always compiled in and inert when the plan is null or
-  /// empty. Held by shared_ptr so fired single-shot actions stay fired
-  /// across a resume retry loop — the soak's core trick.
-  std::shared_ptr<FaultPlan> fault_plan;
-};
+/// Execution options for a distributed sweep: exp::ExecutorOptions, whose
+/// dist fields document each knob (`backend` and `threads` are ignored).
+using DistOptions = exp::ExecutorOptions;
 
 class DistSweepRunner final : public exp::SweepExecutor {
  public:

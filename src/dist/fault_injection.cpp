@@ -84,28 +84,6 @@ FaultPlan& FaultPlan::drop_frame(int worker, int frame) {
   return *this;
 }
 
-FaultPlan& FaultPlan::truncate_frame(int worker, int frame) {
-  COOPCR_CHECK(worker >= 0 && frame >= 1, "truncate_frame: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kTruncateFrame;
-  a.worker = worker;
-  a.frame = frame;
-  actions_.push_back(a);
-  return *this;
-}
-
-FaultPlan& FaultPlan::delay_frame(int worker, int frame, int rounds) {
-  COOPCR_CHECK(worker >= 0 && frame >= 1 && rounds >= 1,
-               "delay_frame: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kDelayFrame;
-  a.worker = worker;
-  a.frame = frame;
-  a.delay_rounds = rounds;
-  actions_.push_back(a);
-  return *this;
-}
-
 FaultPlan& FaultPlan::tear_journal(int after_units, int garbage_bytes) {
   COOPCR_CHECK(after_units >= 0 && garbage_bytes >= 1 && garbage_bytes <= 4096,
                "tear_journal: bad arguments");
@@ -171,25 +149,12 @@ FaultPlan FaultPlan::parse(const std::string& text, const std::string& knob) {
       COOPCR_CHECK(unit >= 1,
                    knob + ": unit number must be >= 1 in '" + action + "'");
       plan.stall_worker(parse_int(w, knob, "worker"), unit);
-    } else if (name == "drop" || name == "trunc") {
+    } else if (name == "drop") {
       const auto [w, f] = split_once(args, '@', knob, action);
       const int frame = parse_int(f, knob, "frame number");
       COOPCR_CHECK(frame >= 1,
                    knob + ": frame number must be >= 1 in '" + action + "'");
-      if (name == "drop") {
-        plan.drop_frame(parse_int(w, knob, "worker"), frame);
-      } else {
-        plan.truncate_frame(parse_int(w, knob, "worker"), frame);
-      }
-    } else if (name == "delay") {
-      const auto [w, rest] = split_once(args, '@', knob, action);
-      const auto [f, r] = split_once(rest, ':', knob, action);
-      const int frame = parse_int(f, knob, "frame number");
-      const int rounds = parse_int(r, knob, "delay rounds");
-      COOPCR_CHECK(frame >= 1 && rounds >= 1,
-                   knob + ": frame number and delay rounds must be >= 1 in '" +
-                       action + "'");
-      plan.delay_frame(parse_int(w, knob, "worker"), frame, rounds);
+      plan.drop_frame(parse_int(w, knob, "worker"), frame);
     } else if (name == "tear") {
       const auto [n, b] = split_once(args, ':', knob, action);
       const int bytes = parse_int(b, knob, "garbage bytes");
@@ -211,8 +176,8 @@ FaultPlan FaultPlan::parse(const std::string& text, const std::string& knob) {
       plan.resize(shards, parse_int(n, knob, "unit trigger"));
     } else {
       COOPCR_CHECK(false, knob + ": unknown fault action '" + name +
-                              "' — expected kill, stall, drop, trunc, delay, "
-                              "tear, flip, interrupt or resize");
+                              "' — expected kill, stall, drop, tear, flip, "
+                              "interrupt or resize");
     }
   }
   return plan;
@@ -239,9 +204,7 @@ std::vector<FaultAction> FaultPlan::take_due(int fresh_results) {
   std::vector<FaultAction> due;
   for (FaultAction& a : actions_) {
     if (a.fired || a.kind == FaultKind::kStallWorker ||
-        a.kind == FaultKind::kDropFrame ||
-        a.kind == FaultKind::kTruncateFrame ||
-        a.kind == FaultKind::kDelayFrame) {
+        a.kind == FaultKind::kDropFrame) {
       continue;
     }
     if (a.after_units <= fresh_results) {
@@ -252,21 +215,15 @@ std::vector<FaultAction> FaultPlan::take_due(int fresh_results) {
   return due;
 }
 
-FaultAction FaultPlan::take_frame_fault(int worker, int frame) {
+bool FaultPlan::take_drop(int worker, int frame) {
   for (FaultAction& a : actions_) {
-    if (a.fired || a.worker != worker || a.frame != frame) continue;
-    if (a.kind != FaultKind::kDropFrame &&
-        a.kind != FaultKind::kTruncateFrame &&
-        a.kind != FaultKind::kDelayFrame) {
-      continue;
+    if (!a.fired && a.kind == FaultKind::kDropFrame && a.worker == worker &&
+        a.frame == frame) {
+      a.fired = true;
+      return true;
     }
-    a.fired = true;
-    FaultAction fired = a;
-    return fired;
   }
-  FaultAction none;
-  none.fired = false;
-  return none;
+  return false;
 }
 
 bool FaultPlan::take_stall(int worker, int unit) {

@@ -4,11 +4,13 @@
 //
 // A FaultPlan is a scripted list of faults the coordinator fires at exact,
 // reproducible trigger points while a sweep runs: SIGKILL worker k once n
-// fresh results have landed, drop/truncate/delay a specific inbound wire
-// frame, SIGSTOP a worker as it is handed a unit (the heartbeat deadline
-// then reaps it), tear or bit-flip the campaign journal, abort the
-// coordinator mid-run, or resize the fleet. Every fault fires from the
-// coordinator; workers carry no fault logic.
+// fresh results have landed, drop a specific inbound wire frame, SIGSTOP
+// a worker as it is handed a unit (the heartbeat deadline then reaps it),
+// tear or bit-flip the campaign journal, abort the coordinator mid-run, or
+// resize the fleet. Every fault fires from the coordinator; workers carry
+// no fault logic. Each fault has a recovery path of its own: a frame that
+// arrives late is a slow unit, and a stream cut mid-frame is handled
+// exactly like a dropped frame, so neither is a separate fault.
 // DistOptions::fault_plan carries the plan into DistSweepRunner; the hook
 // seam is compiled in always and inert when the plan is empty: an empty
 // plan, or one whose triggers are never reached, gives artifacts
@@ -36,9 +38,7 @@ namespace coopcr::dist {
 enum class FaultKind {
   kKillWorker,     ///< SIGKILL worker w once n fresh results landed
   kStallWorker,    ///< SIGSTOP worker w as its n-th unit is dispatched
-  kDropFrame,      ///< discard worker w's f-th inbound frame
-  kTruncateFrame,  ///< cut worker w's f-th inbound frame mid-frame
-  kDelayFrame,     ///< hold worker w's f-th inbound frame for r poll rounds
+  kDropFrame,      ///< discard worker w's f-th inbound frame, kill w
   kTearJournal,    ///< append a torn partial block, then abort the run
   kFlipJournalByte,  ///< XOR one journal byte at a chosen offset, then abort
   kInterrupt,      ///< abort the coordinator once n fresh results landed
@@ -53,8 +53,7 @@ struct FaultAction {
   /// Fresh-result trigger (0 fires before any result); for kStallWorker,
   /// the 1-based number of the unit dispatched to `worker`.
   int after_units = 0;
-  int frame = 0;        ///< 1-based inbound frame number (frame faults)
-  int delay_rounds = 0;  ///< kDelayFrame poll rounds to hold the frame
+  int frame = 0;        ///< 1-based inbound frame number (kDropFrame)
   int tear_bytes = 0;    ///< kTearJournal garbage byte count
   std::uint64_t offset = 0;  ///< kFlipJournalByte file offset
   int shards = 0;            ///< kResize new fleet size
@@ -71,8 +70,6 @@ struct FaultAction {
 ///   drop=W@F        discard worker W's F-th inbound frame (worker is then
 ///                   killed — its stream is no longer trustworthy); frame 1
 ///                   is the kHello, so F = K+1 drops the K-th result
-///   trunc=W@F       truncate worker W's F-th inbound frame mid-frame
-///   delay=W@F:R     hold worker W's F-th inbound frame for R poll rounds
 ///   tear=N:B        after N fresh results, append B garbage bytes to the
 ///                   journal and abort (a torn-tail crash)
 ///   flip=N:OFF      after N fresh results, XOR the journal byte at file
@@ -84,8 +81,6 @@ class FaultPlan {
   FaultPlan& kill_worker(int worker, int after_units);
   FaultPlan& stall_worker(int worker, int unit);
   FaultPlan& drop_frame(int worker, int frame);
-  FaultPlan& truncate_frame(int worker, int frame);
-  FaultPlan& delay_frame(int worker, int frame, int rounds);
   FaultPlan& tear_journal(int after_units, int garbage_bytes);
   FaultPlan& flip_journal_byte(int after_units, std::uint64_t offset);
   FaultPlan& interrupt(int after_units);
@@ -112,10 +107,9 @@ class FaultPlan {
   /// (kill/tear/flip/interrupt/resize); each is marked fired.
   std::vector<FaultAction> take_due(int fresh_results);
 
-  /// Pop the unfired frame fault (drop/trunc/delay) scripted for worker
-  /// `worker`'s `frame`-th inbound frame, marking it fired. Returns a
-  /// kInterrupt-kinded sentinel with fired=false when none matches.
-  FaultAction take_frame_fault(int worker, int frame);
+  /// Pop the unfired drop scripted for worker `worker`'s `frame`-th
+  /// inbound frame, marking it fired. True when one matched.
+  bool take_drop(int worker, int frame);
 
   /// Pop the unfired stall scripted for the `unit`-th unit dispatched to
   /// worker `worker`, marking it fired. True when one matched.

@@ -63,34 +63,60 @@ enum class ExecutorBackend {
   kDist,       ///< dist::DistSweepRunner across worker processes
 };
 
-/// Parse a backend name ("inprocess", "in-process", "dist"); throws
-/// coopcr::Error on anything else, naming the value.
-ExecutorBackend executor_backend_from_name(const std::string& name);
-
-/// Backend selection plus the union of both engines' knobs. Fields that do
-/// not apply to the selected backend are ignored.
+/// The one options struct of both engines: backend selection plus every
+/// knob. Fields that do not apply to the selected backend are ignored.
+/// dist::DistOptions is this struct under its dist name.
 struct ExecutorOptions {
   ExecutorBackend backend = ExecutorBackend::kInProcess;
 
   /// In-process: thread-pool size; 0 selects hardware concurrency.
   int threads = 0;
 
-  /// Dist: worker process count.
+  /// Dist: worker process count. COOPCR_SHARDS is the conventional env
+  /// knob (cli/coopcr_sweep.cpp); at most one worker per pending unit is
+  /// actually spawned.
   int shards = 2;
-  /// Dist: campaign journal path; empty disables journaling.
+
+  /// Dist: campaign journal path; empty disables journaling (the sweep is
+  /// then not resumable). A fresh run refuses to overwrite an existing
+  /// journal; set `resume` to continue it instead.
   std::string journal;
-  /// Dist: replay `journal`, run only the missing units.
+
+  /// Dist: replay `journal` before dispatching: completed units are
+  /// installed from the journal and only the missing ones run. The journal
+  /// header must match this spec's digest, dimensions and code version.
   bool resume = false;
-  /// Dist: fork+exec worker launch command; empty forks the coordinator.
+
+  /// Dist: worker launch command (fork+exec). Empty forks the current
+  /// process — the worker inherits the spec, which is why specs never need
+  /// serialising. When set, the command must start a process that rebuilds
+  /// the same spec and calls worker_serve on kWorkerInFd/kWorkerOutFd
+  /// (coopcr_sweep --worker does); the coordinator verifies the worker's
+  /// digest before dispatching.
   std::vector<std::string> worker_command;
-  /// Dist: respawn budget for replacing dead workers mid-campaign.
+
+  /// Dist: respawn budget: how many replacement workers may be spawned over
+  /// the whole run to keep the fleet at target strength after deaths
+  /// (including heartbeat kills and fault-plan casualties). 0 requeues a
+  /// casualty's unit to the survivors without replacing it.
   int max_respawns = 0;
-  /// Dist: silent-worker deadline in milliseconds; 0 disables.
+
+  /// Dist: > 0: a worker with a unit in flight that has been silent this
+  /// many milliseconds is presumed hung, SIGKILLed, and its unit re-queued
+  /// (respawning within budget). 0 disables the deadline, and then a fault
+  /// plan that stalls a worker is refused.
   int heartbeat_ms = 0;
-  /// Dist: scripted fault plan (dist::FaultPlan) — worker kills, frame
-  /// faults, interrupts and fleet resizes. Held as shared_ptr so
-  /// single-shot fault actions stay fired across a resume retry loop; the
-  /// CLI builds it from --fault-plan / COOPCR_FAULT_PLAN.
+
+  /// Dist: scripted faults and fleet resizes (see dist/fault_injection.hpp):
+  /// worker kills, frame drops, stalls (SIGSTOP at dispatch; needs
+  /// heartbeat_ms), journal damage, coordinator interrupts (`interrupt=N`
+  /// aborts after N fresh results) and elastic resizes (`resize=S@N`;
+  /// shrinking drains busy workers, growing spawns immediately, and
+  /// SIGUSR1/SIGUSR2 adjust the fleet by ±1 on top). The hook seam is
+  /// always compiled in and inert when the plan is null or empty. Held by
+  /// shared_ptr so fired single-shot actions stay fired across a resume
+  /// retry loop — the soak's core trick. The CLI builds it from
+  /// --fault-plan / COOPCR_FAULT_PLAN.
   std::shared_ptr<dist::FaultPlan> fault_plan;
 };
 

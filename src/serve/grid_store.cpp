@@ -79,7 +79,7 @@ AnswerPlan build_plan(const StoredGrid& grid) {
     for (const std::string& axis : grid.axes) probe.named_axis(axis, {});
     plan.spec = std::move(spec);
   } catch (const Error& e) {
-    plan.no_periods = e.what();
+    plan.no_periods = e.message();
   }
   return plan;
 }

@@ -59,7 +59,7 @@ AdvisorQuery AdvisorQuery::from_json(const std::string& text) {
   try {
     doc = JsonValue::parse(text);
   } catch (const Error& e) {
-    throw Error(std::string("bad advisor query: ") + e.what());
+    throw Error(std::string("bad advisor query: ") + e.message());
   }
   COOPCR_CHECK(doc.is_object(), "bad advisor query: document is not an object");
   AdvisorQuery query;

@@ -4,11 +4,13 @@
 //
 // Every binary in the repo reads its runtime knobs (COOPCR_REPLICAS,
 // COOPCR_THREADS, COOPCR_CSV_DIR, COOPCR_SHARDS, COOPCR_JOURNAL,
-// COOPCR_PLOT, COOPCR_LOG) through these helpers instead of hand-rolling
-// std::getenv + strtol. The contract is uniform: an unset or empty variable
-// falls back to the caller's default, and a malformed value *always* throws
-// coopcr::Error naming the knob — a typo'd COOPCR_REPLICAS=1o must abort the
-// sweep, not silently run with a default.
+// COOPCR_PLOT) through these helpers instead of hand-rolling std::getenv +
+// strtol. The contract is uniform: an unset or empty variable falls back to
+// the caller's default, and a malformed value *always* throws coopcr::Error
+// naming the knob — a typo'd COOPCR_REPLICAS=1o must abort the sweep, not
+// silently run with a default. The CLIs parse their numeric flag values
+// through the same parse_int/parse_double, so a flag and its env knob
+// accept exactly the same text.
 
 #pragma once
 
@@ -22,20 +24,28 @@ namespace coopcr::env {
 /// everything else builds on.
 std::optional<std::string> raw(const char* name);
 
-/// Strict base-10 integer knob in [min_value, INT_MAX]. Unset/empty falls
-/// back to `fallback` (which is not range-checked — callers own their
-/// defaults). Throws coopcr::Error naming the knob on non-numeric input,
-/// trailing garbage or out-of-range values.
+/// Strict base-10 integer in [min_value, INT_MAX]. Throws coopcr::Error
+/// naming `name` (a knob or a flag) on empty or non-numeric input, leading
+/// whitespace, trailing garbage or out-of-range values.
+int parse_int(const std::string& text, const std::string& name,
+              int min_value);
+
+/// Strict finite floating-point number in [min_value, +inf). Throws
+/// coopcr::Error naming `name` on empty or non-numeric input, leading
+/// whitespace, trailing garbage, inf/nan or out-of-range values.
+double parse_double(const std::string& text, const std::string& name,
+                    double min_value);
+
+/// parse_int of the knob's value. Unset/empty falls back to `fallback`
+/// (which is not range-checked — callers own their defaults).
 int int_knob(const char* name, int fallback, int min_value);
 
 /// Strict unsigned 64-bit knob (base 10, or base 16 with an 0x prefix —
 /// seeds read naturally in hex). Unset/empty falls back.
 std::uint64_t u64_knob(const char* name, std::uint64_t fallback);
 
-/// Strict finite floating-point knob in [min_value, +inf). Unset/empty falls
-/// back (fallback is not range-checked). Throws coopcr::Error on non-numeric
-/// input, trailing garbage, non-finite or out-of-range values
-/// (COOPCR_TARGET_CI and friends).
+/// parse_double of the knob's value (COOPCR_TARGET_CI and friends).
+/// Unset/empty falls back (fallback is not range-checked).
 double double_knob(const char* name, double fallback, double min_value);
 
 /// String-valued knob (paths, spec names); unset/empty yields nullopt so

@@ -9,7 +9,7 @@
 
 #pragma once
 
-#include <sstream>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -18,16 +18,27 @@ namespace coopcr {
 /// Exception type thrown by all coopcr components on contract violation.
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  explicit Error(const std::string& message) : std::runtime_error(message) {}
+
+  /// what() is `location` + `message`; message() leaves the location out.
+  Error(const std::string& location, const std::string& message)
+      : std::runtime_error(location + message),
+        message_offset_(location.size()) {}
+
+  /// what() without the "file:line: " prefix a COOPCR_CHECK adds: the text
+  /// to show a client, the same from every checkout and build path.
+  const char* message() const noexcept { return what() + message_offset_; }
+
+ private:
+  std::size_t message_offset_ = 0;
 };
 
 namespace detail {
 
 [[noreturn]] inline void throw_error(const char* file, int line,
                                      const std::string& message) {
-  std::ostringstream oss;
-  oss << file << ":" << line << ": " << message;
-  throw Error(oss.str());
+  throw Error(std::string(file) + ":" + std::to_string(line) + ": ",
+              message);
 }
 
 }  // namespace detail

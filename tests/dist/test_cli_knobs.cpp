@@ -1,10 +1,13 @@
 // coopcr_sweep knob-interaction coverage: every bad flag/env combination
 // must fail with a non-zero exit and an error that names the offending
 // knob, through the real binary — the same COOPCR_CHECK seams the library
-// tests exercise, but via argv and the COOPCR_* environment.
+// tests exercise, but via argv and the COOPCR_* environment. coopcr_advisor
+// shares the strict numeric flag parser and is checked for the same
+// refusals.
 //
-// ctest runs from the build root, next to the coopcr_sweep binary; set
-// COOPCR_SWEEP_BIN to point elsewhere when running by hand.
+// ctest runs from the build root, next to the coopcr_sweep and
+// coopcr_advisor binaries; set COOPCR_SWEEP_BIN / COOPCR_ADVISOR_BIN to
+// point elsewhere when running by hand.
 
 #include <gtest/gtest.h>
 
@@ -31,9 +34,15 @@ std::string sweep_binary() {
   return "./coopcr_sweep";
 }
 
-CliResult run_cli(const std::string& args, const std::string& env = "") {
+std::string advisor_binary() {
+  if (const char* bin = std::getenv("COOPCR_ADVISOR_BIN")) return bin;
+  return "./coopcr_advisor";
+}
+
+CliResult run_cli(const std::string& args, const std::string& env = "",
+                  const std::string& binary = sweep_binary()) {
   const std::string command = (env.empty() ? "" : "env " + env + " ") +
-                              sweep_binary() + " " + args + " 2>&1";
+                              binary + " " + args + " 2>&1";
   CliResult result;
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -62,8 +71,9 @@ class CliKnobsTest : public ::testing::Test {
   /// Run a combination that must be refused, and assert the error names
   /// `knob`.
   void expect_refusal(const std::string& args, const std::string& knob,
-                      const std::string& env = "") {
-    const CliResult result = run_cli(args, env);
+                      const std::string& env = "",
+                      const std::string& binary = sweep_binary()) {
+    const CliResult result = run_cli(args, env, binary);
     EXPECT_NE(result.exit_code, 0)
         << "expected failure for: " << env << " " << args
         << "\noutput: " << result.output;
@@ -71,6 +81,34 @@ class CliKnobsTest : public ::testing::Test {
         << "error for '" << env << " " << args << "' must name " << knob
         << ", got:\n"
         << result.output;
+  }
+
+  /// Run `args` with `--shards 0` and with `dist_args` on top, and assert
+  /// both write byte-identical artifacts.
+  void expect_same_artifacts(const std::string& args,
+                             const std::string& dist_args) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("coopcr_cli_knobs_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const std::string ref = (dir / "ref").string();
+    const std::string dist = (dir / "dist").string();
+    const CliResult reference = run_cli(args + " --shards 0 --out " + ref);
+    ASSERT_EQ(reference.exit_code, 0) << reference.output;
+    const CliResult distributed =
+        run_cli(args + " " + dist_args + " --out " + dist);
+    ASSERT_EQ(distributed.exit_code, 0) << distributed.output;
+    for (const char* name : {"sweep_demo.csv", "sweep_demo.json"}) {
+      std::ifstream a(fs::path(ref) / name, std::ios::binary);
+      std::ifstream b(fs::path(dist) / name, std::ios::binary);
+      ASSERT_TRUE(a.good() && b.good()) << name;
+      const std::string bytes_a((std::istreambuf_iterator<char>(a)),
+                                std::istreambuf_iterator<char>());
+      const std::string bytes_b((std::istreambuf_iterator<char>(b)),
+                                std::istreambuf_iterator<char>());
+      EXPECT_EQ(bytes_a, bytes_b) << name;
+    }
+    fs::remove_all(dir);
   }
 };
 
@@ -108,34 +146,42 @@ TEST_F(CliKnobsTest, RemovedFlagsAreUnknownArguments) {
 }
 
 TEST_F(CliKnobsTest, FaultedDistRunMatchesInProcessArtifactBytes) {
-  // The positive interaction: respawn, an elastic resize and a scripted
-  // kill all through real argv — and the artifacts still match the
-  // in-process run byte for byte.
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() /
-                       ("coopcr_cli_knobs_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  const std::string ref = (dir / "ref").string();
-  const std::string dist = (dir / "dist").string();
-  const CliResult reference =
-      run_cli("--spec demo --replicas 2 --shards 0 --out " + ref);
-  ASSERT_EQ(reference.exit_code, 0) << reference.output;
-  const CliResult faulted = run_cli(
-      "--spec demo --replicas 2 --shards 2 --respawn 3 --heartbeat-ms 5000 "
-      "--fault-plan resize=3@2,kill=0@1,delay=1@2:2 --out " +
-      dist);
-  ASSERT_EQ(faulted.exit_code, 0) << faulted.output;
-  for (const char* name : {"sweep_demo.csv", "sweep_demo.json"}) {
-    std::ifstream a(fs::path(ref) / name, std::ios::binary);
-    std::ifstream b(fs::path(dist) / name, std::ios::binary);
-    ASSERT_TRUE(a.good() && b.good()) << name;
-    const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                              std::istreambuf_iterator<char>());
-    const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                              std::istreambuf_iterator<char>());
-    EXPECT_EQ(bytes_a, bytes_b) << name;
+  // The positive interaction: respawn, an elastic resize, a scripted kill
+  // and a dropped frame all through real argv — and the artifacts still
+  // match the in-process run byte for byte.
+  expect_same_artifacts("--spec demo --replicas 2",
+                        "--shards 2 --respawn 3 --heartbeat-ms 5000 "
+                        "--fault-plan resize=3@2,kill=0@1,drop=1@2");
+}
+
+TEST_F(CliKnobsTest, ExecWorkersRebuildTheSpecFromTheCoordinatorsFlags) {
+  // Every flag the spec digest covers reaches an exec worker, because the
+  // worker runs with the coordinator's own command line; a worker that
+  // rebuilt a different spec would be refused by the digest check.
+  expect_same_artifacts(
+      "--spec demo --replicas 2 --antithetic --target-ci 0.05 "
+      "--max-replicas 8 --contrast Oblivious-Daly --strata-bins 2",
+      "--shards 2 --exec-workers");
+}
+
+TEST_F(CliKnobsTest, NumericFlagsAreParsedAsStrictlyAsEnvKnobs) {
+  // Leading whitespace and non-finite numbers are refused by flag as by
+  // env knob (COOPCR_TARGET_CI=inf always was), in both CLIs.
+  for (const std::string& binary : {sweep_binary(), advisor_binary()}) {
+    if (!std::filesystem::exists(binary)) {
+      ADD_FAILURE() << binary << " not found";
+      continue;
+    }
+    expect_refusal("--replicas ' 2'", "--replicas", "", binary);
+    expect_refusal("--target-ci inf", "--target-ci", "", binary);
+    expect_refusal("--target-ci nan", "--target-ci", "", binary);
+    expect_refusal("--replicas 2x", "--replicas", "", binary);
+    expect_refusal("--replicas", "--replicas needs a value", "", binary);
   }
-  fs::remove_all(dir);
+  expect_refusal("--spec demo --shards 2", "COOPCR_TARGET_CI",
+                 "COOPCR_TARGET_CI=inf");
+  expect_refusal("--ingest . --backend quantum", "--backend", "",
+                 advisor_binary());
 }
 
 TEST_F(CliKnobsTest, EnvKnobFailuresNameTheEnvVariable) {

@@ -2,10 +2,10 @@
 // errors, the inert seam (empty and never-triggered plans), and one pinned
 // byte-identity test per recovery mechanism — respawn, elastic resize
 // (scripted and signal-driven), heartbeat stall detection (fork and exec
-// workers), frame drop/truncate/delay, journal tear and journal flip —
-// each asserting the final report matches the fault-free in-process run
-// byte for byte. The randomized closure over schedules lives in
-// test_fault_soak.cpp.
+// workers), frame drops, journal tear and journal flip — each asserting the
+// final report matches the fault-free in-process run byte for byte — plus
+// run isolation: resize signals one run leaves behind never reach the
+// next. The randomized closure over schedules lives in test_fault_soak.cpp.
 
 #include <gtest/gtest.h>
 
@@ -80,10 +80,10 @@ class FaultInjectionTest : public ::testing::Test {
 
 TEST(FaultPlanParse, ParsesEveryActionKind) {
   const dist::FaultPlan plan = dist::FaultPlan::parse(
-      "kill=1@4,stall=0@2,drop=2@3,trunc=0@5,delay=1@2:3,tear=6:32,"
-      "flip=7:123,interrupt=9,resize=4@5",
+      "kill=1@4,stall=0@2,drop=2@3,tear=6:32,flip=7:123,interrupt=9,"
+      "resize=4@5",
       "--fault-plan");
-  ASSERT_EQ(plan.actions().size(), 9u);
+  ASSERT_EQ(plan.actions().size(), 7u);
   EXPECT_EQ(plan.actions()[0].kind, dist::FaultKind::kKillWorker);
   EXPECT_EQ(plan.actions()[0].worker, 1);
   EXPECT_EQ(plan.actions()[0].after_units, 4);
@@ -93,16 +93,13 @@ TEST(FaultPlanParse, ParsesEveryActionKind) {
   EXPECT_TRUE(plan.stalls_workers());
   EXPECT_EQ(plan.actions()[2].kind, dist::FaultKind::kDropFrame);
   EXPECT_EQ(plan.actions()[2].frame, 3);
-  EXPECT_EQ(plan.actions()[3].kind, dist::FaultKind::kTruncateFrame);
-  EXPECT_EQ(plan.actions()[4].kind, dist::FaultKind::kDelayFrame);
-  EXPECT_EQ(plan.actions()[4].delay_rounds, 3);
-  EXPECT_EQ(plan.actions()[5].kind, dist::FaultKind::kTearJournal);
-  EXPECT_EQ(plan.actions()[5].tear_bytes, 32);
-  EXPECT_EQ(plan.actions()[6].kind, dist::FaultKind::kFlipJournalByte);
-  EXPECT_EQ(plan.actions()[6].offset, 123u);
-  EXPECT_EQ(plan.actions()[7].kind, dist::FaultKind::kInterrupt);
-  EXPECT_EQ(plan.actions()[8].kind, dist::FaultKind::kResize);
-  EXPECT_EQ(plan.actions()[8].shards, 4);
+  EXPECT_EQ(plan.actions()[3].kind, dist::FaultKind::kTearJournal);
+  EXPECT_EQ(plan.actions()[3].tear_bytes, 32);
+  EXPECT_EQ(plan.actions()[4].kind, dist::FaultKind::kFlipJournalByte);
+  EXPECT_EQ(plan.actions()[4].offset, 123u);
+  EXPECT_EQ(plan.actions()[5].kind, dist::FaultKind::kInterrupt);
+  EXPECT_EQ(plan.actions()[6].kind, dist::FaultKind::kResize);
+  EXPECT_EQ(plan.actions()[6].shards, 4);
   EXPECT_TRUE(plan.touches_journal());
   EXPECT_FALSE(plan.empty());
   EXPECT_TRUE(dist::FaultPlan::parse("", "--fault-plan").empty());
@@ -121,7 +118,8 @@ TEST(FaultPlanParse, MalformedActionsThrowNamingTheKnob) {
       "stall=0@0",     // unit number must be >= 1
       "stall=0@2:500",  // the stall's old :MS duration is gone
       "drop=0@0",      // frame number must be >= 1
-      "delay=0@2",     // missing :rounds
+      "trunc=0@2",     // removed: a cut stream is a dropped frame
+      "delay=0@2:1",   // removed: a late frame is a slow unit
       "tear=5",        // missing :bytes
       "tear=5:0",      // bytes out of range
       "resize=0@3",    // zero shards
@@ -150,9 +148,10 @@ TEST(FaultPlanParse, SingleShotHooksFireExactlyOnce) {
   EXPECT_FALSE(plan.take_stall(0, 2));     // another unit's stall
   EXPECT_TRUE(plan.take_stall(0, 1));
   EXPECT_FALSE(plan.take_stall(0, 1));
-  EXPECT_FALSE(plan.take_frame_fault(0, 1).fired);
-  EXPECT_TRUE(plan.take_frame_fault(0, 2).fired);
-  EXPECT_FALSE(plan.take_frame_fault(0, 2).fired);
+  EXPECT_FALSE(plan.take_drop(1, 2));      // another worker's drop
+  EXPECT_FALSE(plan.take_drop(0, 1));      // another frame's drop
+  EXPECT_TRUE(plan.take_drop(0, 2));
+  EXPECT_FALSE(plan.take_drop(0, 2));
 }
 
 // --- knob interactions (CLI-facing option validation) -----------------------
@@ -239,7 +238,7 @@ TEST_F(FaultInjectionTest, InertPlansLeaveArtifactsIdenticalAndFireNothing) {
   auto unreachable = std::make_shared<dist::FaultPlan>();
   unreachable->kill_worker(0, 1000)
       .drop_frame(1, 1000)
-      .delay_frame(0, 1000, 3)
+      .drop_frame(0, 1000)
       .interrupt(1000)
       .resize(4, 1000);
   for (const auto& plan : {empty, unreachable}) {
@@ -373,15 +372,14 @@ TEST_F(FaultInjectionTest, HeartbeatKillsAStalledExecWorkerAndRecovers) {
   EXPECT_TRUE(plan->actions()[0].fired);
 }
 
-TEST_F(FaultInjectionTest, DroppedTruncatedAndDelayedFramesAreSurvived) {
+TEST_F(FaultInjectionTest, DroppedFramesAreSurvived) {
   const exp::ExperimentSpec spec = grid_spec();
   const exp::ExperimentReport reference = reference_report(spec);
   // Frame 1 is the worker's kHello, so frame 2 is its first result: drop
-  // it on worker 0, truncate it on worker 1, and hold worker 2's third
-  // frame back for 3 poll rounds. Dropped/truncated streams cost the
-  // worker its life; the respawn budget restores the fleet.
+  // it on workers 0 and 1. A dropped frame costs the worker its life; the
+  // respawn budget restores the fleet.
   auto plan = std::make_shared<dist::FaultPlan>();
-  plan->drop_frame(0, 2).truncate_frame(1, 2).delay_frame(2, 3, 3);
+  plan->drop_frame(0, 2).drop_frame(1, 2);
   dist::DistOptions options;
   options.shards = 3;
   options.max_respawns = 2;
@@ -390,6 +388,37 @@ TEST_F(FaultInjectionTest, DroppedTruncatedAndDelayedFramesAreSurvived) {
   const exp::ExperimentReport survived = runner.run(spec);
   EXPECT_EQ(csv_bytes(reference), csv_bytes(survived));
   EXPECT_EQ(json_bytes(reference), json_bytes(survived));
+}
+
+TEST_F(FaultInjectionTest, ResizeSignalsLeftByOneRunDoNotResizeTheNext) {
+  const exp::ExperimentSpec spec = grid_spec();
+  const exp::ExperimentReport reference = reference_report(spec);
+  // Run 1 raises SIGUSR1 from its point callback: inside run(), with the
+  // run's handlers installed, but after the poll loop that consumes
+  // resize signals. The signal is counted and never used.
+  dist::DistOptions options;
+  options.shards = 1;
+  bool raised = false;
+  dist::DistSweepRunner first(options);
+  first.on_point([&raised](const exp::GridPoint&, const MonteCarloReport&) {
+    if (!raised) ::raise(SIGUSR1);
+    raised = true;
+  });
+  first.run(spec);
+  ASSERT_TRUE(raised);
+
+  // Run 2 has one shard and no respawn budget, so a worker 1 exists only
+  // if the leftover signal grew the fleet; dropping its kHello (frame 1)
+  // would show it did.
+  auto plan = std::make_shared<dist::FaultPlan>();
+  plan->drop_frame(1, 1);
+  options.max_respawns = 0;
+  options.fault_plan = plan;
+  dist::DistSweepRunner second(options);
+  const exp::ExperimentReport isolated = second.run(spec);
+  EXPECT_FALSE(plan->actions()[0].fired);
+  EXPECT_EQ(csv_bytes(reference), csv_bytes(isolated));
+  EXPECT_EQ(json_bytes(reference), json_bytes(isolated));
 }
 
 TEST_F(FaultInjectionTest, TornJournalResumesByteIdentically) {

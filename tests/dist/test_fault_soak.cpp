@@ -2,9 +2,9 @@
 // headline artifact of the fault-injection harness.
 //
 // A seeded generator produces hundreds of distinct fault schedules (worker
-// kills, stalls past the heartbeat deadline, dropped/truncated/delayed wire
-// frames, journal tears and bit flips, coordinator interrupts, elastic
-// resizes, varying shard counts), and a recovery driver
+// kills, stalls past the heartbeat deadline, dropped wire frames, journal
+// tears and bit flips, coordinator interrupts, elastic resizes, varying
+// shard counts), and a recovery driver
 // runs each schedule to completion the way an operator would: resume from
 // the journal after a crash, discard the journal and start over when the
 // resume refuses a corrupted file. Every schedule must converge to CSV and
@@ -108,16 +108,14 @@ Schedule generate_schedule(std::mt19937_64& rng) {
     if (roll < 25) {
       emit("kill=" + std::to_string(worker) + "@" + std::to_string(unit));
       ++destructive;
-    } else if (roll < 40) {
+    } else if (roll < 50) {
+      // Rolls 40-49 were the removed trunc= fault, which was a drop.
       emit("drop=" + std::to_string(worker) + "@" + std::to_string(frame));
       ++destructive;
-    } else if (roll < 50) {
-      emit("trunc=" + std::to_string(worker) + "@" + std::to_string(frame));
-      ++destructive;
     } else if (roll < 60) {
-      const int rounds = 1 + static_cast<int>(rng() % 4);
-      emit("delay=" + std::to_string(worker) + "@" + std::to_string(frame) +
-           ":" + std::to_string(rounds));
+      // The removed delay= fault: its rounds draw is kept so the pinned
+      // schedules stay the same, and it emits nothing.
+      rng();
     } else if (roll < 70) {
       if (stalled) continue;
       stalled = true;
@@ -270,8 +268,8 @@ TEST_F(FaultSoakTest, KitchenSinkScheduleConverges) {
   s.respawns = 6;
   s.heartbeat_ms = 150;
   s.plan_text =
-      "kill=0@2,stall=1@2,drop=2@2,trunc=3@3,delay=0@3:2,"
-      "resize=4@5,interrupt=8,tear=12:24,flip=16:100,kill=1@20";
+      "kill=0@2,stall=1@2,drop=2@2,drop=3@3,resize=4@5,interrupt=8,"
+      "tear=12:24,flip=16:100,kill=1@20";
   const exp::ExperimentSpec spec = soak_spec();
   exp::SweepRunner reference_runner(/*threads=*/1);
   const exp::ExperimentReport reference = reference_runner.run(spec);

@@ -33,16 +33,6 @@ std::string json_bytes(const exp::ExperimentReport& report) {
   return oss.str();
 }
 
-TEST(SweepExecutor, BackendNameParsing) {
-  EXPECT_EQ(exp::executor_backend_from_name("inprocess"),
-            exp::ExecutorBackend::kInProcess);
-  EXPECT_EQ(exp::executor_backend_from_name("in-process"),
-            exp::ExecutorBackend::kInProcess);
-  EXPECT_EQ(exp::executor_backend_from_name("dist"),
-            exp::ExecutorBackend::kDist);
-  EXPECT_THROW(exp::executor_backend_from_name("quantum"), Error);
-}
-
 TEST(SweepExecutor, FactoryBuildsTheSelectedBackend) {
   exp::ExecutorOptions in_process;
   in_process.backend = exp::ExecutorBackend::kInProcess;

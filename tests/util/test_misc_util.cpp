@@ -1,4 +1,4 @@
-// Unit tests for units, CSV writer, table printer, logger and error macros.
+// Unit tests for units, CSV writer, table printer and error macros.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -46,6 +45,23 @@ TEST(Error, CheckThrowsWithContext) {
     EXPECT_NE(what.find("custom message"), std::string::npos);
     EXPECT_NE(what.find("test_misc_util.cpp"), std::string::npos);
   }
+}
+
+TEST(Error, MessageLeavesOutTheSourceLocation) {
+  // message() is what users see (advisor answers): the same failure must
+  // read the same from any checkout, so it carries no source path.
+  try {
+    COOPCR_CHECK(1 + 1 == 3, "custom message");
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    const std::string message = e.message();
+    EXPECT_EQ(message, "check failed: 1 + 1 == 3 — custom message");
+    EXPECT_EQ(message.find(".cpp"), std::string::npos) << message;
+    const std::string what = e.what();
+    EXPECT_EQ(what.size() - message.size(), what.find(message));
+    EXPECT_NE(what.find("test_misc_util.cpp:"), std::string::npos) << what;
+  }
+  EXPECT_STREQ(Error("plain").message(), "plain");
 }
 
 TEST(Error, CheckPassesSilently) {
@@ -111,26 +127,6 @@ TEST(Table, RejectsArityMismatch) {
 TEST(Table, FmtFixedPoint) {
   EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::fmt(2.0, 0), "2");
-}
-
-// --- logger ----------------------------------------------------------------------
-
-TEST(Log, ParseLevels) {
-  EXPECT_EQ(Log::parse("debug"), LogLevel::kDebug);
-  EXPECT_EQ(Log::parse("INFO"), LogLevel::kInfo);
-  EXPECT_EQ(Log::parse("warn"), LogLevel::kWarn);
-  EXPECT_EQ(Log::parse("error"), LogLevel::kError);
-  EXPECT_EQ(Log::parse("nonsense"), LogLevel::kOff);
-}
-
-TEST(Log, ThresholdFiltering) {
-  Log::set_level(LogLevel::kWarn);
-  EXPECT_FALSE(Log::enabled(LogLevel::kDebug));
-  EXPECT_FALSE(Log::enabled(LogLevel::kInfo));
-  EXPECT_TRUE(Log::enabled(LogLevel::kWarn));
-  EXPECT_TRUE(Log::enabled(LogLevel::kError));
-  Log::set_level(LogLevel::kOff);
-  EXPECT_FALSE(Log::enabled(LogLevel::kError));
 }
 
 }  // namespace
