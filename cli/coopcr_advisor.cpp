@@ -144,8 +144,9 @@ int main(int argc, char** argv) {
     std::string line;
     while (std::getline(std::cin, line)) {
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      // Error answers carry message(), never the source location, so the
-      // same query answers the same bytes from any checkout.
+      // Error answers carry message(), never the source location or the
+      // checked C++ condition, so the same query answers the same bytes
+      // from any checkout.
       try {
         std::cout << advisor.answer_json(line) << "\n";
       } catch (const Error& e) {

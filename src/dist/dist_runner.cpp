@@ -179,6 +179,7 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   COOPCR_CHECK(!options_.resume || !options_.journal.empty(),
                "--resume/resume requires a journal path — set --journal or "
                "COOPCR_JOURNAL");
+  workers_started_ = 0;
   // An inert reference keeps the hook sites unconditional: the seam always
   // compiles, and an absent plan simply never matches a trigger.
   FaultPlan inert_plan;
@@ -321,6 +322,7 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
       launch.command = options_.worker_command;
     }
     const WorkerEndpoint endpoint = spawn_worker(launch);
+    ++workers_started_;
     Worker w;
     w.index = static_cast<int>(workers.size());
     w.pid = endpoint.pid;
@@ -443,6 +445,11 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
         }
         case FaultKind::kResize:
           do_resize(action.shards);
+          break;
+        case FaultKind::kSignal:
+          // Counted by the handler now, consumed on the next loop turn
+          // like an operator's signal.
+          ::raise(action.signal);
           break;
         case FaultKind::kTearJournal:
           if (journal) {

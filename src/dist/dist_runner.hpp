@@ -71,9 +71,14 @@ class DistSweepRunner final : public exp::SweepExecutor {
   /// heartbeat the options do not set.
   exp::ExperimentReport run(const exp::ExperimentSpec& spec) override;
 
+  /// Worker processes the last run() started: the first fleet plus every
+  /// respawn and every worker a resize (scripted or signalled) added.
+  int workers_started() const { return workers_started_; }
+
  private:
   DistOptions options_;
   PointCallback on_point_;
+  int workers_started_ = 0;
 };
 
 }  // namespace coopcr::dist

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <utility>
 
@@ -120,6 +121,17 @@ FaultPlan& FaultPlan::resize(int shards, int after_units) {
   FaultAction a;
   a.kind = FaultKind::kResize;
   a.shards = shards;
+  a.after_units = after_units;
+  actions_.push_back(a);
+  return *this;
+}
+
+FaultPlan& FaultPlan::raise_signal(int signal, int after_units) {
+  COOPCR_CHECK((signal == SIGUSR1 || signal == SIGUSR2) && after_units >= 0,
+               "raise_signal: bad arguments");
+  FaultAction a;
+  a.kind = FaultKind::kSignal;
+  a.signal = signal;
   a.after_units = after_units;
   actions_.push_back(a);
   return *this;

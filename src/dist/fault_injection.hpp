@@ -43,6 +43,7 @@ enum class FaultKind {
   kFlipJournalByte,  ///< XOR one journal byte at a chosen offset, then abort
   kInterrupt,      ///< abort the coordinator once n fresh results landed
   kResize,         ///< resize the worker fleet to s shards
+  kSignal,         ///< raise SIGUSR1/SIGUSR2 in the coordinator
 };
 
 /// One scripted fault. Which fields matter depends on `kind`; `fired`
@@ -57,6 +58,7 @@ struct FaultAction {
   int tear_bytes = 0;    ///< kTearJournal garbage byte count
   std::uint64_t offset = 0;  ///< kFlipJournalByte file offset
   int shards = 0;            ///< kResize new fleet size
+  int signal = 0;            ///< kSignal signal number
   bool fired = false;
 };
 
@@ -86,6 +88,13 @@ class FaultPlan {
   FaultPlan& interrupt(int after_units);
   FaultPlan& resize(int shards, int after_units);
 
+  /// Raise SIGUSR1 (grow by one) or SIGUSR2 (shrink by one) in the
+  /// coordinator after `after_units` fresh results: an operator's resize
+  /// signal on a deterministic trigger, so the signal path can be tested
+  /// without racing a wall clock. Builder only; the knob grammar scripts
+  /// resizes with resize=S@N.
+  FaultPlan& raise_signal(int signal, int after_units);
+
   /// Parse the knob grammar above; throws coopcr::Error naming `knob` on
   /// any malformed action. Empty text parses to an empty (inert) plan.
   static FaultPlan parse(const std::string& text, const std::string& knob);
@@ -104,7 +113,7 @@ class FaultPlan {
   // --- runtime hooks (called by DistSweepRunner) ---
 
   /// Pop every unfired unit-triggered action due at `fresh_results`
-  /// (kill/tear/flip/interrupt/resize); each is marked fired.
+  /// (kill/tear/flip/interrupt/resize/signal); each is marked fired.
   std::vector<FaultAction> take_due(int fresh_results);
 
   /// Pop the unfired drop scripted for worker `worker`'s `frame`-th

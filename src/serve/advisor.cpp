@@ -38,33 +38,31 @@ std::size_t Advisor::ingest_dir(const std::string& dir) {
   return store_.ingest_dir(dir);
 }
 
-std::string Advisor::answer(const AdvisorQuery& query) {
+const std::string& Advisor::answer(const AdvisorQuery& query) {
   const auto start = std::chrono::steady_clock::now();
   ++stats_.queries;
 
-  std::string rendered;
   const std::uint64_t digest = query.digest();
-  if (const std::string* cached = cache_.lookup(digest)) {
-    ++stats_.cache_hits;
-    rendered = *cached;  // the first evaluation's exact bytes
+  const std::string* rendered = cache_.lookup(digest);
+  if (rendered != nullptr) {
+    ++stats_.cache_hits;  // the first evaluation's exact bytes
   } else {
     ++stats_.cache_misses;
     const QueryEngine::Counters before = engine_.counters();
-    rendered = engine_.answer(query).to_json();
+    rendered = &cache_.insert(digest, engine_.answer(query).to_json());
     const QueryEngine::Counters& after = engine_.counters();
     stats_.interpolated += after.interpolated - before.interpolated;
     stats_.computed += after.computed - before.computed;
-    cache_.insert(digest, rendered);
   }
 
   const auto elapsed = std::chrono::steady_clock::now() - start;
   stats_.last_latency_ms =
       std::chrono::duration<double, std::milli>(elapsed).count();
   stats_.total_latency_ms += stats_.last_latency_ms;
-  return rendered;
+  return *rendered;
 }
 
-std::string Advisor::answer_json(const std::string& query_json) {
+const std::string& Advisor::answer_json(const std::string& query_json) {
   return answer(AdvisorQuery::from_json(query_json));
 }
 

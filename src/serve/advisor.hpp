@@ -61,11 +61,13 @@ class Advisor {
   bool ingest_text(const std::string& text, const std::string& label);
   std::size_t ingest_dir(const std::string& dir);
 
-  /// Answer a parsed query; cached by query digest.
-  std::string answer(const AdvisorQuery& query);
+  /// Answer a parsed query; cached by query digest. The returned bytes are
+  /// the cache's own, never copied on the way out: valid until the next
+  /// answer() or answer_json() call.
+  const std::string& answer(const AdvisorQuery& query);
 
-  /// Parse one single-line JSON query and answer it.
-  std::string answer_json(const std::string& query_json);
+  /// Parse one single-line JSON query and answer it; same lifetime.
+  const std::string& answer_json(const std::string& query_json);
 
   const GridStore& store() const { return store_; }
   const QueryEngine::Counters& engine_counters() const {

@@ -21,7 +21,8 @@ namespace coopcr::serve {
 /// Fixed-capacity LRU map: query digest -> rendered answer JSON.
 class QueryCache {
  public:
-  /// `capacity` 0 disables caching (every lookup misses, inserts no-op).
+  /// `capacity` 0 disables caching (every lookup misses, inserts keep
+  /// nothing past the next insert).
   explicit QueryCache(std::size_t capacity = 256) : capacity_(capacity) {}
 
   /// The cached answer for `digest`, or nullptr on a miss. A hit marks the
@@ -29,8 +30,10 @@ class QueryCache {
   const std::string* lookup(std::uint64_t digest);
 
   /// Insert (or refresh) the answer for `digest`, evicting the
-  /// least-recently-used entry when full.
-  void insert(std::uint64_t digest, std::string answer_json);
+  /// least-recently-used entry when full, and return the stored bytes:
+  /// valid until the entry is evicted or refreshed. With capacity 0 they
+  /// are kept only until the next insert, and no lookup finds them.
+  const std::string& insert(std::uint64_t digest, std::string answer_json);
 
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
@@ -44,6 +47,7 @@ class QueryCache {
   };
 
   std::size_t capacity_;
+  std::string uncached_;  ///< capacity 0: the last inserted answer
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> entries_;
   std::uint64_t hits_ = 0;

@@ -1,8 +1,14 @@
 // coopcr/util/csv.hpp
 //
-// Minimal CSV writer for bench output. Every bench can dump its series as a
-// CSV file (ready for gnuplot / pandas) when COOPCR_CSV_DIR is set, in
-// addition to the human-readable console table.
+// The project's one number renderer and a minimal CSV writer.
+//
+// append_number / format_number print every number the artifacts and the
+// advisor emit (report CSV and JSON, answers, cache keys, stats) as
+// C-locale printf("%.*g"), through an exact 128-bit integer path with
+// std::to_chars as the fallback (docs/ARCHITECTURE.md "Number
+// rendering"). CsvWriter lets every bench dump its series as a CSV file
+// (ready for gnuplot / pandas) when COOPCR_CSV_DIR is set, in addition to
+// the human-readable console table.
 
 #pragma once
 
@@ -19,8 +25,26 @@ namespace coopcr {
 /// precision), independent of the global C/C++ locale. The default of 17
 /// significant digits round-trips any double exactly through strtod — the
 /// exp::ExperimentReport CSV/JSON emission and the serve/ answers rely on
-/// this.
+/// this. Precisions 1 to 17 on zero and on normal values of magnitude
+/// between about 10^(precision - 23) and 2^128 take an exact integer path
+/// (detail::write_general_exact); every other value goes through
+/// std::to_chars, which the standard specifies as that same printf.
 void append_number(std::string& out, double value, int significant_digits = 17);
+
+namespace detail {
+
+/// The fast path of append_number: writes printf("%.{precision}g") of
+/// `value` at `first` (which needs room for 48 chars) and returns the end,
+/// or returns nullptr and writes nothing useful when `value` is out of its
+/// range. It serves 1 <= precision <= 17 on ±0 and on normal values with
+/// 2^ceil((precision - 23) * log2(10)) <= |value| < 2^128, and nothing
+/// else. It scales the binary significand by a power of ten in 128-bit
+/// integer arithmetic and rounds half to even on the exact remainder.
+/// Public for tests/util/test_number_render.cpp, which checks it against
+/// std::to_chars.
+char* write_general_exact(char* first, double value, int precision);
+
+}  // namespace detail
 
 /// append_number into a fresh string.
 std::string format_number(double value, int significant_digits = 17);

@@ -20,13 +20,15 @@ class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& message) : std::runtime_error(message) {}
 
-  /// what() is `location` + `message`; message() leaves the location out.
-  Error(const std::string& location, const std::string& message)
-      : std::runtime_error(location + message),
-        message_offset_(location.size()) {}
+  /// what() is `context` + `message`; message() leaves the context out.
+  Error(const std::string& context, const std::string& message)
+      : std::runtime_error(context + message),
+        message_offset_(context.size()) {}
 
-  /// what() without the "file:line: " prefix a COOPCR_CHECK adds: the text
-  /// to show a client, the same from every checkout and build path.
+  /// what() without the "file:line: check failed: <condition> — " prefix a
+  /// COOPCR_CHECK adds: the caller's own text, the one to show a client.
+  /// It is the same from every checkout and build path, and renaming a
+  /// variable in a checked condition does not change it.
   const char* message() const noexcept { return what() + message_offset_; }
 
  private:
@@ -35,9 +37,12 @@ class Error : public std::runtime_error {
 
 namespace detail {
 
+/// Throws Error whose context is "file:line: " + `what_failed`.
 [[noreturn]] inline void throw_error(const char* file, int line,
+                                     const char* what_failed,
                                      const std::string& message) {
-  throw Error(std::string(file) + ":" + std::to_string(line) + ": ",
+  throw Error(std::string(file) + ":" + std::to_string(line) + ": " +
+                  what_failed,
               message);
 }
 
@@ -51,7 +56,7 @@ namespace detail {
   do {                                                          \
     if (!(cond)) {                                              \
       ::coopcr::detail::throw_error(__FILE__, __LINE__,         \
-                                    std::string("check failed: " #cond " — ") + (msg)); \
+                                    "check failed: " #cond " — ", (msg)); \
     }                                                           \
   } while (false)
 
@@ -61,6 +66,6 @@ namespace detail {
   do {                                                          \
     if (!(cond)) {                                              \
       ::coopcr::detail::throw_error(__FILE__, __LINE__,         \
-                                    std::string("invariant violated: " #cond " — ") + (msg)); \
+                                    "invariant violated: " #cond " — ", (msg)); \
     }                                                           \
   } while (false)

@@ -17,7 +17,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "coopcr.hpp"
@@ -152,6 +151,18 @@ TEST(FaultPlanParse, SingleShotHooksFireExactlyOnce) {
   EXPECT_FALSE(plan.take_drop(0, 1));      // another frame's drop
   EXPECT_TRUE(plan.take_drop(0, 2));
   EXPECT_FALSE(plan.take_drop(0, 2));
+}
+
+TEST(FaultPlanParse, RaisedSignalsAreTheResizeSignalsOnly) {
+  dist::FaultPlan plan;
+  plan.raise_signal(SIGUSR2, 4);
+  EXPECT_TRUE(plan.take_due(3).empty());
+  const std::vector<dist::FaultAction> due = plan.take_due(4);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].kind, dist::FaultKind::kSignal);
+  EXPECT_EQ(due[0].signal, SIGUSR2);
+  EXPECT_THROW(plan.raise_signal(SIGKILL, 1), Error);
+  EXPECT_THROW(plan.raise_signal(SIGUSR1, -1), Error);
 }
 
 // --- knob interactions (CLI-facing option validation) -----------------------
@@ -294,28 +305,26 @@ TEST_F(FaultInjectionTest, ScheduledElasticResizeIsByteIdentical) {
 TEST_F(FaultInjectionTest, SignalResizeIsByteIdenticalAndSurvivesShrink) {
   const exp::ExperimentSpec spec = grid_spec();
   const exp::ExperimentReport reference = reference_report(spec);
+  // Operator-style resize: grow twice, shrink once. The plan raises the
+  // signals in the coordinator at fixed unit counts, so they land inside
+  // the run with 7 or more of its 18 units still to go, on any box. The
+  // coordinator takes at most one result per live worker (never more than
+  // 4 here) between two looks at the signal counters, so triggers 5 apart
+  // are consumed one by one and never cancel out.
+  auto plan = std::make_shared<dist::FaultPlan>();
+  plan->raise_signal(SIGUSR1, 1).raise_signal(SIGUSR1, 6).raise_signal(
+      SIGUSR2, 11);
   dist::DistOptions options;
   options.shards = 2;
+  options.fault_plan = plan;
   dist::DistSweepRunner runner(options);
-  // Operator-style resize: grow twice, shrink once, from a helper thread
-  // while the sweep runs. The timing is nondeterministic by nature; the
-  // bytes must be identical regardless of when the signals land — including
-  // after run() returns, so park the dispositions on SIG_IGN around it
-  // (run() installs its own handlers for its own window).
-  ::signal(SIGUSR1, SIG_IGN);
-  ::signal(SIGUSR2, SIG_IGN);
-  std::thread prodder([] {
-    for (int i = 0; i < 2; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      ::kill(::getpid(), SIGUSR1);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ::kill(::getpid(), SIGUSR2);
-  });
   const exp::ExperimentReport resized = runner.run(spec);
-  prodder.join();
-  ::signal(SIGUSR1, SIG_DFL);
-  ::signal(SIGUSR2, SIG_DFL);
+  for (const dist::FaultAction& action : plan->actions()) {
+    EXPECT_TRUE(action.fired);
+  }
+  // Both grows were consumed: each started a worker beyond the first two
+  // (no respawn budget, so nothing else starts one).
+  EXPECT_EQ(runner.workers_started(), 4);
   EXPECT_EQ(csv_bytes(reference), csv_bytes(resized));
   EXPECT_EQ(json_bytes(reference), json_bytes(resized));
 }

@@ -52,6 +52,30 @@ TEST(Advisor, RepeatedQueriesAreByteIdenticalAndServedFromCache) {
   EXPECT_EQ(advisor.engine_counters().computed, 0u);
 }
 
+TEST(Advisor, DisabledCacheStillAnswersTheSameBytes) {
+  // With capacity 0 nothing is cached: every query is evaluated again,
+  // and the returned bytes stay valid until the next query.
+  serve::AdvisorOptions options = fast_options();
+  serve::Advisor cached(options);
+  options.cache_capacity = 0;
+  serve::Advisor uncached(options);
+  const std::string artifact = demo_artifact();
+  ASSERT_TRUE(cached.ingest_text(artifact, "demo.json"));
+  ASSERT_TRUE(uncached.ingest_text(artifact, "demo.json"));
+
+  const std::string query =
+      "{\"coords\":{\"pfs_bandwidth_gbps\":80,\"interference_alpha\":0.5}}";
+  const std::string expected = cached.answer_json(query);
+  const std::string& first = uncached.answer_json(query);
+  EXPECT_EQ(first, expected);
+  const std::string& second = uncached.answer_json(
+      "{\"coords\":{\"interference_alpha\":0.5,\"pfs_bandwidth_gbps\":80}}");
+  EXPECT_EQ(second, expected);
+  EXPECT_EQ(uncached.stats().cache_hits, 0u);
+  EXPECT_EQ(uncached.stats().cache_misses, 2u);
+  EXPECT_EQ(uncached.engine_counters().interpolated, 2u);
+}
+
 TEST(Advisor, UnsimulatableBandwidthsAnswerWithAnError) {
   // Out of hull, so each needs a fallback campaign. 1e300 GB/s overflows
   // to an infinite bandwidth, 1e999 does not parse as a double, and at
